@@ -77,7 +77,7 @@ const (
 	// (reports success, sends nothing). On a control connection each write
 	// is one framed message, so this drops exactly one ack or commit
 	// notice. Never schedule it on a data connection: dropping part of a
-	// gob stream corrupts the stream rather than losing a message.
+	// framed stream corrupts the stream rather than losing a message.
 	FaultDropWrite
 	// FaultFailOp fails the Nth Put on the wrapped backend. Under a
 	// write-behind Async backend this poisons the queue — exactly the

@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"errors"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -201,43 +202,45 @@ func TestCheckpointAlignsMultiInput(t *testing.T) {
 		}
 		return ts
 	}
-	build := func() (*Graph, *Collector) {
+	const holdAt = n / 4
+	build := func(gateOpen bool) (*Graph, *gatedSource, *Collector) {
 		g := NewGraph()
 		a := &SliceSource{SourceName: "a", Schema: oneInt, Tuples: mk(), BatchSize: 8}
-		b := &SliceSource{SourceName: "b", Schema: oneInt, Tuples: mk(), BatchSize: 8}
+		// b idles at holdAt until its gate opens, so the plan cannot finish
+		// (and fold its total into the sink) before the checkpoint lands.
+		b := &gatedSource{name: "b", schema: oneInt, tuples: mk(), gateAt: holdAt}
+		b.gate.Store(gateOpen)
 		sa, sb := g.AddSource(a), g.AddSource(b)
 		sum := g.Add(&summing2{}, From(sa), From(sb))
 		sink := NewCollector("sink", oneInt)
 		g.Add(sink, From(sum))
-		return g, sink
+		return g, b, sink
 	}
 
-	g1, _ := build()
+	g1, b1, _ := build(false)
 	runErr := make(chan error, 1)
 	go func() { runErr <- g1.Run() }()
 
-	// Checkpoint while both sources are mid-stream.
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	var snap *snapshot.Snapshot
-	for {
-		s, err := g1.Checkpoint(ctx)
-		if err == nil {
-			snap = s
-			break
-		}
-		// The graph may not have started yet; anything else is fatal.
-		if ctx.Err() != nil {
-			t.Fatal(err)
+	// Wait until the plan is running with b mid-stream; a streams on
+	// concurrently.
+	for deadline := time.Now().Add(10 * time.Second); b1.emitted.Load() < holdAt; {
+		if time.Now().After(deadline) {
+			t.Fatalf("source b stuck at %d/%d", b1.emitted.Load(), holdAt)
 		}
 		time.Sleep(time.Millisecond)
 	}
-	g1.Kill()
-	if err := <-runErr; err != nil && !errors.Is(err, ErrKilled) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	snap, err := g1.Checkpoint(ctx)
+	if err != nil {
 		t.Fatal(err)
 	}
+	g1.Kill()
+	if err := <-runErr; !errors.Is(err, ErrKilled) {
+		t.Fatalf("Run after Kill = %v, want ErrKilled (plan finished before the cut?)", err)
+	}
 
-	g2, sink2 := build()
+	g2, _, sink2 := build(true)
 	if err := g2.RestoreSnapshot(snap); err != nil {
 		t.Fatal(err)
 	}
@@ -346,12 +349,18 @@ func TestCheckpointNotRunning(t *testing.T) {
 // blockingSource emits nothing until its gate is closed, blocking inside
 // Next — the one shape of source that cannot poll for a pending
 // checkpoint, which is how a checkpoint comes to be cancelled with
-// barriers already injected elsewhere.
+// barriers already injected elsewhere. Past the gate it idles (polling,
+// not blocking) at holdAt until hold is set, so the plan stays running
+// for a later checkpoint. started closes on the first Next call.
 type blockingSource struct {
-	schema stream.Schema
-	tuples []stream.Tuple
-	gate   chan struct{}
-	pos    int
+	schema  stream.Schema
+	tuples  []stream.Tuple
+	gate    chan struct{}
+	started chan struct{}
+	once    sync.Once
+	holdAt  int
+	hold    atomic.Bool
+	pos     int
 }
 
 func (s *blockingSource) Name() string                { return "blocking" }
@@ -363,9 +372,14 @@ func (s *blockingSource) ProcessFeedback(int, core.Feedback, Context) error {
 }
 
 func (s *blockingSource) Next(ctx Context) (bool, error) {
+	s.once.Do(func() { close(s.started) })
 	<-s.gate
 	if s.pos >= len(s.tuples) {
 		return false, nil
+	}
+	if s.pos == s.holdAt && !s.hold.Load() {
+		time.Sleep(time.Millisecond)
+		return true, nil
 	}
 	ctx.Emit(s.tuples[s.pos])
 	s.pos++
@@ -398,36 +412,44 @@ func TestCheckpointCancelThenRetry(t *testing.T) {
 		}
 		return ts
 	}
-	build := func(gateOpen bool) (*Graph, chan struct{}, *Collector) {
+	build := func(gateOpen bool) (*Graph, *blockingSource, *Collector) {
 		g := NewGraph()
 		a := &SliceSource{SourceName: "a", Schema: oneInt, Tuples: mk(nA), BatchSize: 4}
-		bsrc := &blockingSource{schema: oneInt, tuples: mk(nB), gate: make(chan struct{})}
+		bsrc := &blockingSource{schema: oneInt, tuples: mk(nB), gate: make(chan struct{}),
+			started: make(chan struct{}), holdAt: nB / 2}
 		if gateOpen {
 			close(bsrc.gate)
+			bsrc.hold.Store(true)
 		}
 		sa, sb := g.AddSource(a), g.AddSource(bsrc)
 		sum := g.Add(&summing2{}, From(sa), From(sb))
 		sink := NewCollector("sink", oneInt)
 		g.Add(sink, From(sum))
-		return g, bsrc.gate, sink
+		return g, bsrc, sink
 	}
 
-	g1, gate, _ := build(false)
+	g1, bsrc1, _ := build(false)
 	runErr := make(chan error, 1)
 	go func() { runErr <- g1.Run() }()
+	select {
+	case <-bsrc1.started:
+	case <-time.After(10 * time.Second):
+		t.Fatal("plan never started")
+	}
 
 	// Checkpoint 1: source "a" injects its barrier, "blocking" never does;
 	// the checkpoint must time out, leaving a stale partial alignment at
 	// the summing operator.
 	ctx1, cancel1 := context.WithTimeout(context.Background(), 250*time.Millisecond)
 	defer cancel1()
-	if _, err := g1.Checkpoint(ctx1); err == nil {
-		t.Fatal("checkpoint with a blocked source must time out")
+	if _, err := g1.Checkpoint(ctx1); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("checkpoint with a blocked source = %v, want a deadline error", err)
 	}
 
 	// Release the blocked source and retry: the stale freeze must lift and
-	// the new epoch must complete.
-	close(gate)
+	// the new epoch must complete. The source then idles at holdAt, so the
+	// plan is still running when the retry lands.
+	close(bsrc1.gate)
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel2()
 	var snap *snapshot.Snapshot
@@ -443,8 +465,8 @@ func TestCheckpointCancelThenRetry(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	g1.Kill()
-	if err := <-runErr; err != nil && !errors.Is(err, ErrKilled) {
-		t.Fatal(err)
+	if err := <-runErr; !errors.Is(err, ErrKilled) {
+		t.Fatalf("Run after Kill = %v, want ErrKilled (plan finished before the cut?)", err)
 	}
 
 	g2, _, sink2 := build(true)

@@ -548,8 +548,9 @@ func (a *Aggregate) ProcessFeedback(_ int, f core.Feedback, ctx exec.Context) er
 		// beats a full answer too late). State is retained; the final
 		// result still appears when the window closes.
 		var due []string
+		m := f.Pattern.Matcher()
 		for k, g := range a.state {
-			if f.Pattern.Matches(a.resultTuple(g)) {
+			if m.Matches(a.resultTuple(g)) {
 				due = append(due, k)
 			}
 		}
@@ -607,13 +608,14 @@ func (a *Aggregate) ProcessFeedback(_ int, f core.Feedback, ctx exec.Context) er
 // value-bound shapes on monotone aggregates the current partial decides
 // (it can only move further into the subset).
 func (a *Aggregate) purgeMatching(p punct.Pattern, shape core.AggShape) {
+	m := p.Matcher()
 	for k, g := range a.state {
 		var hit bool
 		switch shape {
 		case core.AggShapeGroup:
-			hit = p.Matches(a.prefixTuple(g.wid, g.groupVals))
+			hit = m.Matches(a.prefixTuple(g.wid, g.groupVals))
 		case core.AggShapeValueUp, core.AggShapeValueDown:
-			hit = p.Matches(a.resultTuple(g))
+			hit = m.Matches(a.resultTuple(g))
 		default:
 			continue
 		}
@@ -650,8 +652,9 @@ func (a *Aggregate) installInputGuard(f core.Feedback, shape core.AggShape) {
 // It must run before purgeMatching removes those entries.
 func (a *Aggregate) snapshotMatching(p punct.Pattern) []*aggGroup {
 	var out []*aggGroup
+	m := p.Matcher()
 	for _, g := range a.state {
-		if p.Matches(a.resultTuple(g)) {
+		if m.Matches(a.resultTuple(g)) {
 			out = append(out, g)
 		}
 	}

@@ -145,6 +145,31 @@ func TestAggregateGroupFeedbackF2Semantics(t *testing.T) {
 	}
 }
 
+// An In-set zoom past punct's hash threshold takes the compiled state scan:
+// it must purge exactly the groups in the set, as the interpreted scan does.
+func TestAggregateInSetFeedbackPurgesExactly(t *testing.T) {
+	a := minuteAvg(FeedbackExploit, false)
+	h := exec.NewHarness(a)
+	for seg := int64(0); seg < 40; seg++ {
+		h.Tuple(0, traffic(seg, 1, 10*1_000_000, 40))
+	}
+	var zoom []stream.Value
+	for seg := int64(0); seg < 40; seg += 3 {
+		zoom = append(zoom, stream.Int(seg))
+	}
+	h.Feedback(0, core.NewAssumed(punct.OnAttr(3, 0, punct.OneOf(zoom...))))
+	h.Punct(0, tsPunct(minute-1))
+	got := h.OutTuples(0)
+	if want := 40 - len(zoom); len(got) != want || a.Stats().Purged != int64(len(zoom)) {
+		t.Fatalf("%d results, %d purged; want %d and %d", len(got), a.Stats().Purged, want, len(zoom))
+	}
+	for _, tp := range got {
+		if tp.At(0).AsInt()%3 == 0 {
+			t.Errorf("zoomed segment %d survived the purge", tp.At(0).AsInt())
+		}
+	}
+}
+
 func TestAggregateGuardOutputModeF1Semantics(t *testing.T) {
 	// F1: only the output is guarded; aggregation work still happens.
 	a := minuteAvg(FeedbackGuardOutput, false)

@@ -732,11 +732,12 @@ func (j *Join) purgeByFeedback(shape core.JoinShape, p punct.Pattern) {
 		if !prop.OK {
 			return
 		}
+		match := prop.Pattern.Matcher()
 		table := j.table(side)
 		for k, entries := range table {
 			kept := entries[:0]
 			for _, e := range entries {
-				if prop.Pattern.Matches(e.t) {
+				if match.Matches(e.t) {
 					j.purgedByFeedback++
 					continue
 				}

@@ -202,6 +202,30 @@ func TestPaceWatermarkRelay(t *testing.T) {
 	}
 }
 
+// A desired In-set past punct's hash threshold is compiled once at install:
+// the backlog and later arrivals in the set are promoted, and the per-tuple
+// membership check does not allocate.
+func TestPrioritizeDesiredInSet(t *testing.T) {
+	p := &Prioritize{Schema: trafficSchema, BufferCap: 100, Mode: FeedbackExploit}
+	h := exec.NewHarness(p)
+	h.Tuples(traffic(1, 1, 10, 50), traffic(12, 1, 20, 55), traffic(3, 1, 30, 60))
+	set := []stream.Value{stream.Int(10), stream.Int(11), stream.Int(12), stream.Int(13), stream.Int(14), stream.Int(15)}
+	h.Feedback(0, core.NewDesired(punct.OnAttr(4, 0, punct.OneOf(set...))))
+	h.Tuple(0, traffic(15, 2, 40, 52))
+	h.Tuple(0, traffic(4, 2, 50, 52))
+	got := h.OutTuples(0)
+	if len(got) != 2 || got[0].At(0).AsInt() != 12 || got[1].At(0).AsInt() != 15 {
+		t.Fatalf("promoted %v, want segments 12 then 15", got)
+	}
+	in, out := traffic(13, 1, 60, 50), traffic(9, 1, 60, 50)
+	if !p.isDesired(in) || p.isDesired(out) {
+		t.Fatal("isDesired disagrees with the In-set")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { p.isDesired(in) }); allocs != 0 {
+		t.Errorf("isDesired allocated %v times per tuple, want 0", allocs)
+	}
+}
+
 func TestPrioritizePromotesDesiredSubset(t *testing.T) {
 	p := &Prioritize{Schema: trafficSchema, BufferCap: 100, Mode: FeedbackExploit}
 	h := exec.NewHarness(p)

@@ -33,7 +33,7 @@ type Prioritize struct {
 	Propagate bool
 
 	responseLog
-	desired []punct.Pattern
+	desired []punct.Matcher
 	guards  *core.GuardTable
 	scheme  *punct.Scheme
 	pending []stream.Tuple
@@ -69,6 +69,10 @@ func (p *Prioritize) Open(exec.Context) error {
 	return nil
 }
 
+// isDesired reports whether t falls in a desired subset. It runs per
+// tuple, against patterns compiled (when indexed) at install.
+//
+//pace:hotpath
 func (p *Prioritize) isDesired(t stream.Tuple) bool {
 	for _, d := range p.desired {
 		if d.Matches(t) {
@@ -121,7 +125,7 @@ func (p *Prioritize) ProcessPunct(_ int, e punct.Embedded, ctx exec.Context) err
 	// subset complete, prioritizing it is moot.
 	kept := p.desired[:0]
 	for _, d := range p.desired {
-		if !p.scheme.CoversPattern(d) {
+		if !p.scheme.CoversPattern(d.Pattern()) {
 			kept = append(kept, d)
 		}
 	}
@@ -146,11 +150,12 @@ func (p *Prioritize) ProcessFeedback(_ int, f core.Feedback, ctx exec.Context) e
 	}
 	switch f.Intent {
 	case core.Desired, core.Demanded:
-		p.desired = append(p.desired, f.Pattern)
+		m := f.Pattern.Matcher()
+		p.desired = append(p.desired, m)
 		// Promote matching backlog immediately.
 		kept := p.pending[:0]
 		for _, t := range p.pending {
-			if f.Pattern.Matches(t) {
+			if m.Matches(t) {
 				p.promoted++
 				p.out++
 				ctx.Emit(t)
@@ -162,9 +167,10 @@ func (p *Prioritize) ProcessFeedback(_ int, f core.Feedback, ctx exec.Context) e
 		resp.Actions = append(resp.Actions, core.ActPrioritize)
 	case core.Assumed:
 		p.guards.Install(f)
+		m := f.Pattern.Matcher()
 		kept := p.pending[:0]
 		for _, t := range p.pending {
-			if f.Pattern.Matches(t) {
+			if m.Matches(t) {
 				p.dropped++
 				continue
 			}

@@ -944,7 +944,7 @@ func (d *Duplicate) LoadState(dec *snapshot.Decoder) error {
 // prioCap is the captured view of a Prioritize.
 type prioCap struct {
 	pending  []stream.Tuple
-	desired  []punct.Pattern
+	desired  []punct.Matcher
 	guards   []core.Feedback
 	counters [4]int64
 }
@@ -959,7 +959,7 @@ type prioCap struct {
 func (p *Prioritize) CaptureState(snapshot.CaptureMode) (snapshot.Capture, error) {
 	v := &prioCap{
 		pending:  append([]stream.Tuple(nil), p.pending...),
-		desired:  append([]punct.Pattern(nil), p.desired...),
+		desired:  append([]punct.Matcher(nil), p.desired...),
 		guards:   snapshot.GuardsView(p.guards),
 		counters: [4]int64{p.in, p.out, p.promoted, p.dropped},
 	}
@@ -970,7 +970,7 @@ func (p *Prioritize) CaptureState(snapshot.CaptureMode) (snapshot.Capture, error
 		}
 		enc.PutInt(len(v.desired))
 		for _, d := range v.desired {
-			enc.PutPattern(d)
+			enc.PutPattern(d.Pattern())
 		}
 		snapshot.PutGuardsView(enc, v.guards)
 		for _, c := range v.counters {
@@ -995,7 +995,7 @@ func (p *Prioritize) LoadState(dec *snapshot.Decoder) error {
 	nd := dec.GetInt()
 	p.desired = nil
 	for i := 0; i < nd && dec.Err() == nil; i++ {
-		p.desired = append(p.desired, dec.GetPatternArity(p.Schema.Arity()))
+		p.desired = append(p.desired, dec.GetPatternArity(p.Schema.Arity()).Matcher())
 	}
 	p.guards = snapshot.GetGuards(dec, p.Schema.Arity())
 	for _, c := range []*int64{&p.in, &p.out, &p.promoted, &p.dropped} {

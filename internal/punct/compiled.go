@@ -93,6 +93,41 @@ func newCompiledPred(attr int, pr Pred) compiledPred {
 	return cp
 }
 
+// Matcher evaluates one pattern over many tuples — a feedback scan over
+// operator state or a pattern held against every arriving tuple. It goes
+// through the compiled form only when that form hash-indexes an In-set
+// (more than setThreshold members), where a probe replaces a linear scan;
+// Eq, range and small-set patterns keep Pattern.Matches and pay no compile.
+// A Matcher is immutable and safe for concurrent use.
+type Matcher struct {
+	p Pattern
+	c *Compiled // nil: evaluate p directly
+}
+
+// Matcher returns the evaluator for p described at type Matcher.
+func (p Pattern) Matcher() Matcher {
+	for _, pr := range p.preds {
+		if pr.Op == In && len(pr.Set) > setThreshold {
+			return Matcher{p: p, c: p.Compile(stream.Schema{})}
+		}
+	}
+	return Matcher{p: p}
+}
+
+// Pattern returns the pattern m evaluates.
+func (m Matcher) Pattern() Pattern { return m.p }
+
+// Matches is equivalent to m.Pattern().Matches(t) and performs no
+// allocation.
+//
+//pace:hotpath
+func (m Matcher) Matches(t stream.Tuple) bool {
+	if m.c != nil {
+		return m.c.Matches(t)
+	}
+	return m.p.Matches(t)
+}
+
 // CompiledPred is the evaluation form of a single predicate outside any
 // Pattern: the same devirtualized integer-domain comparisons and
 // hash-indexed In-sets that Compile builds per bound attribute. op.Expr

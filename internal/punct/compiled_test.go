@@ -57,15 +57,16 @@ func TestCompiledMatchesEquivalence(t *testing.T) {
 		}
 		pat := NewPattern(ps...)
 		c := pat.Compile(stream.Schema{})
+		m := pat.Matcher()
 		for trial := 0; trial < 50; trial++ {
 			tv := make([]stream.Value, arity)
 			for i := range tv {
 				tv[i] = vals[r.Intn(len(vals))]
 			}
 			tup := stream.NewTuple(tv...)
-			if pat.Matches(tup) != c.Matches(tup) {
-				t.Logf("pattern %v tuple %v: interpreted=%v compiled=%v",
-					pat, tup, pat.Matches(tup), c.Matches(tup))
+			if pat.Matches(tup) != c.Matches(tup) || pat.Matches(tup) != m.Matches(tup) {
+				t.Logf("pattern %v tuple %v: interpreted=%v compiled=%v matcher=%v",
+					pat, tup, pat.Matches(tup), c.Matches(tup), m.Matches(tup))
 				return false
 			}
 		}
@@ -121,6 +122,41 @@ func BenchmarkCompiledSetMembership(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if !c.Matches(tup) {
 			b.Fatal("must match")
+		}
+	}
+}
+
+// Matcher compiles only patterns holding an In-set past setThreshold:
+// Eq, range and small-set feedback keeps the interpreted path with no
+// compile and no allocation, and neither path allocates per tuple.
+func TestMatcherCompilesOnlyIndexedSets(t *testing.T) {
+	big := make([]stream.Value, setThreshold+1)
+	for i := range big {
+		big[i] = stream.Int(int64(i))
+	}
+	tup := stream.NewTuple(stream.Int(3), stream.TimeMicros(5))
+	for _, tc := range []struct {
+		pat     Pattern
+		compile bool
+	}{
+		{NewPattern(Eq(stream.Int(3)), Wild), false},
+		{NewPattern(Wild, Range(stream.TimeMicros(0), stream.TimeMicros(9))), false},
+		{NewPattern(OneOf(big[:setThreshold]...), Wild), false},
+		{NewPattern(OneOf(big...), Le(stream.TimeMicros(9))), true},
+	} {
+		before := CompiledCount()
+		var m Matcher
+		if allocs := testing.AllocsPerRun(1, func() { m = tc.pat.Matcher() }); !tc.compile && allocs != 0 {
+			t.Errorf("%v: Matcher allocated %v times, want 0", tc.pat, allocs)
+		}
+		if got := CompiledCount() > before; got != tc.compile {
+			t.Errorf("%v: compiled=%v, want %v", tc.pat, got, tc.compile)
+		}
+		if !m.Matches(tup) || !m.Pattern().Equal(tc.pat) {
+			t.Errorf("%v: Matcher lost the pattern", tc.pat)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { m.Matches(tup) }); allocs != 0 {
+			t.Errorf("%v: Matches allocated %v times per tuple, want 0", tc.pat, allocs)
 		}
 	}
 }

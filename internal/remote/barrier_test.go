@@ -2,7 +2,6 @@ package remote
 
 import (
 	"context"
-	"encoding/gob"
 	"math/rand"
 	"net"
 	"strings"
@@ -215,8 +214,9 @@ func TestSinkWriteDeadline(t *testing.T) {
 }
 
 // TestBarrierFrameWireRoundTrip is the property test for the barrier wire
-// frames: a random interleaving of tuple, punctuation, and barrier frames
-// written raw onto the transport replays through Source with every barrier
+// frames: a random interleaving of tuple and barrier frames built by the
+// frame encoder and written raw onto the transport replays through Source
+// with every barrier
 // delivered to the hook in order, carrying its exact epoch and mode, with
 // the surrounding data intact.
 func TestBarrierFrameWireRoundTrip(t *testing.T) {
@@ -230,28 +230,23 @@ func TestBarrierFrameWireRoundTrip(t *testing.T) {
 		var wantBarriers []sent
 		wantTuples := 0
 		epoch := int64(0)
-		frames := make([]frame, 0, 64)
+		w := newFrameWriter()
 		for i := 0; i < 2+rng.Intn(60); i++ {
 			switch rng.Intn(3) {
 			case 0, 1:
-				frames = append(frames, frame{Kind: frameTuple, Tuple: mkTuple(int64(i), int64(i)*1000, 50)})
+				if err := w.tuple(mkTuple(int64(i), int64(i)*1000, 50)); err != nil {
+					t.Fatal(err)
+				}
 				wantTuples++
 			default:
 				epoch += 1 + rng.Int63n(3)
 				mode := snapshot.CaptureMode(rng.Intn(2))
-				frames = append(frames, frame{Kind: frameBarrier, Seq: epoch, Intent: uint8(mode)})
+				w.barrier(epoch, mode)
 				wantBarriers = append(wantBarriers, sent{epoch, mode})
 			}
 		}
-		go func() {
-			enc := gob.NewEncoder(c1)
-			for _, f := range frames {
-				if err := enc.Encode(f); err != nil {
-					return
-				}
-			}
-			enc.Encode(frame{Kind: frameEOS})
-		}()
+		w.eos()
+		go w.flush(c1)
 
 		rsrc := NewSource("in", schema, c2)
 		var gotBarriers []sent
@@ -284,14 +279,16 @@ func TestBarrierFrameWireRoundTrip(t *testing.T) {
 func TestBarrierFrameCorrupt(t *testing.T) {
 	// Unknown capture mode in an otherwise valid barrier frame.
 	c1, c2 := net.Pipe()
-	go gob.NewEncoder(c1).Encode(frame{Kind: frameBarrier, Seq: 1, Intent: 7})
+	w := newFrameWriter()
+	w.barrier(1, 7)
+	go w.flush(c1)
 	rsrc := NewSource("in", schema, c2)
 	rsrc.SetBarrierHook(func(int64, snapshot.CaptureMode) error { return nil })
 	if h := exec.NewSourceHarness(rsrc).RunSource(10); h.Err() == nil {
 		t.Error("unknown capture mode accepted")
 	}
 
-	// Random garbage instead of a gob stream.
+	// Random garbage instead of a frame stream.
 	rng := rand.New(rand.NewSource(29))
 	for i := 0; i < 50; i++ {
 		c1, c2 := net.Pipe()
@@ -311,7 +308,9 @@ func TestBarrierFrameCorrupt(t *testing.T) {
 	// clean end of stream.
 	c1, c2 = net.Pipe()
 	go func() {
-		gob.NewEncoder(c1).Encode(frame{Kind: frameTuple, Tuple: mkTuple(1, 1000, 50)})
+		w := newFrameWriter()
+		w.tuple(mkTuple(1, 1000, 50))
+		w.flush(c1)
 		c1.Close()
 	}()
 	h := exec.NewSourceHarness(NewSource("in", schema, c2)).RunSource(100)

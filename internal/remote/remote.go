@@ -10,13 +10,13 @@
 // connection — the dashed arrow of Figure 2(b), now crossing a machine
 // boundary.
 //
-// Wire format: gob frames, one direction per duplex half. Tuples and
-// embedded punctuation flow downstream; feedback frames flow upstream.
+// Wire format (frame.go): binary frames, one direction per duplex half,
+// each half opening with a magic and version. Tuples travel in run frames
+// of up to FlushEvery tuples, embedded punctuation and barriers in frames
+// of their own downstream; feedback frames flow upstream.
 package remote
 
 import (
-	"bufio"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -33,20 +33,10 @@ import (
 	"repro/internal/telemetry"
 )
 
-// countingWriter/countingReader sit between the gob codec's bufio layer and
-// the connection, so the byte counters see exactly what crosses the wire
-// (one atomic add per flushed buffer / filled read, not per frame).
-type countingWriter struct {
-	w io.Writer
-	n *atomic.Int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n.Add(int64(n))
-	return n, err
-}
-
+// countingReader sits between a frame reader's bufio layer and the
+// connection, so the byte counters see exactly what crosses the wire (one
+// atomic add per filled read, not per frame). Writers count what each
+// flush writes.
 type countingReader struct {
 	r io.Reader
 	n *atomic.Int64
@@ -66,55 +56,19 @@ var (
 	_ exec.BarrierReceiver  = (*Source)(nil)
 )
 
-// frame kinds.
-const (
-	frameTuple = iota
-	framePunct
-	frameEOS
-	frameFeedback
-	// frameBarrier carries a checkpoint barrier in-band on the data path:
-	// Seq is the epoch, Intent the capture mode. It must not be reordered
-	// past tuples — the cut's position on the wire is the cut.
-	frameBarrier
-)
-
-// frame is one wire message (downstream or upstream). Punctuation patterns
-// travel in the shared binary encoding (punct.Pattern.MarshalBinary — the
-// same codec the checkpoint subsystem uses), so there is exactly one
-// pattern wire format in the system.
-type frame struct {
-	Kind    uint8
-	Tuple   stream.Tuple
-	Pattern []byte // punctuation or feedback pattern (punct wire encoding)
-	Intent  uint8  // feedback intent; capture mode on barrier frames
-	Origin  string
-	Hops    int
-	Seq     int64 // feedback sequence; epoch on barrier frames
-}
-
-func marshalPattern(p punct.Pattern) []byte { return p.AppendBinary(nil) }
-
-func unmarshalPattern(raw []byte) (punct.Pattern, error) {
-	var p punct.Pattern
-	if err := p.UnmarshalBinary(raw); err != nil {
-		return punct.Pattern{}, err
-	}
-	return p, nil
-}
-
 // Sink is an exec.Operator with no outputs: everything it receives is
 // framed onto the connection. Feedback frames arriving from the remote
 // side are relayed upstream into the local plan.
 //
-//pace:stateless its state is the connection itself (codec, write buffer); the supervisor re-dials and the barrier protocol re-aligns on restore
+//pace:stateless its state is the connection itself (frame buffer); the supervisor re-dials and the barrier protocol re-aligns on restore
 type Sink struct {
 	exec.Base
 	SinkName string
 	Schema   stream.Schema
 	Conn     net.Conn
-	// FlushEvery bounds batching: the write buffer is flushed after this
-	// many tuples (default 64) and on every punctuation, mirroring the
-	// paged-queue flush rule.
+	// FlushEvery bounds batching: tuples collect into one run frame that
+	// is written after this many tuples (default 64) and on every
+	// punctuation, barrier and EOS, mirroring the paged-queue flush rule.
 	FlushEvery int
 	// WriteTimeout bounds each write to the connection. A wedged peer — one
 	// that stops reading but keeps the connection open — then surfaces as a
@@ -124,9 +78,7 @@ type Sink struct {
 	// paged queue would.
 	WriteTimeout time.Duration
 
-	w       *bufio.Writer
-	enc     *gob.Encoder
-	pending int
+	fw      *frameWriter
 	readErr atomic.Value // error from the feedback reader
 	closing atomic.Bool
 	started bool
@@ -161,38 +113,32 @@ func (s *Sink) OutSchemas() []stream.Schema { return nil }
 // Open implements exec.Operator: it starts the feedback reader. The
 // runtime guarantees Context.SendFeedback is safe from other goroutines.
 func (s *Sink) Open(ctx exec.Context) error {
-	s.w = bufio.NewWriter(&countingWriter{w: s.Conn, n: &s.bytesOut})
-	s.enc = gob.NewEncoder(s.w)
+	s.fw = newFrameWriter()
 	s.started = true
-	dec := gob.NewDecoder(&countingReader{r: s.Conn, n: &s.feedbackBy})
+	fr := newFrameReader(&countingReader{r: s.Conn, n: &s.feedbackBy})
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
 		for {
-			var f frame
-			if err := dec.Decode(&f); err != nil {
+			kind, payload, err := fr.next()
+			if err != nil {
 				if err != io.EOF && !s.closing.Load() {
 					s.readErr.Store(err)
 				}
 				return
 			}
-			if f.Kind != frameFeedback {
-				s.readErr.Store(fmt.Errorf("remote: unexpected frame kind %d on feedback path", f.Kind))
+			if kind != frameFeedback {
+				s.readErr.Store(fmt.Errorf("remote: unexpected frame kind %d on feedback path", kind))
 				return
 			}
-			pat, err := unmarshalPattern(f.Pattern)
+			f, err := decodeFeedback(payload)
 			if err != nil {
-				s.readErr.Store(fmt.Errorf("remote: decode feedback pattern: %w", err))
+				s.readErr.Store(err)
 				return
 			}
 			s.feedbackIn.Add(1)
-			ctx.SendFeedback(0, core.Feedback{
-				Intent:  core.Intent(f.Intent),
-				Pattern: pat,
-				Origin:  f.Origin,
-				Hops:    f.Hops + 1,
-				Seq:     f.Seq,
-			})
+			f.Hops++
+			ctx.SendFeedback(0, f)
 		}
 	}()
 	return nil
@@ -205,26 +151,26 @@ func (s *Sink) flushEvery() int {
 	return s.FlushEvery
 }
 
-// armDeadline applies WriteTimeout ahead of encodes and flushes; gob may
-// flush the bufio writer mid-encode, so every encode is covered too.
-func (s *Sink) armDeadline() {
+// flush writes every frame built since the last flush, under WriteTimeout.
+func (s *Sink) flush() error {
 	if s.WriteTimeout > 0 {
 		_ = s.Conn.SetWriteDeadline(time.Now().Add(s.WriteTimeout))
 	}
+	frames, n, err := s.fw.flush(s.Conn)
+	s.framesOut.Add(int64(frames))
+	s.bytesOut.Add(int64(n))
+	return err
 }
 
-// ProcessTuple implements exec.Operator.
+// ProcessTuple implements exec.Operator: the tuple joins the open run
+// frame, which goes out once it holds FlushEvery tuples.
 func (s *Sink) ProcessTuple(_ int, t stream.Tuple, _ exec.Context) error {
-	s.armDeadline()
-	if err := s.enc.Encode(frame{Kind: frameTuple, Tuple: t}); err != nil {
-		return fmt.Errorf("remote: encode tuple: %w", err)
+	if err := s.fw.tuple(t); err != nil {
+		return err
 	}
 	s.sent.Add(1)
-	s.framesOut.Add(1)
-	s.pending++
-	if s.pending >= s.flushEvery() {
-		s.pending = 0
-		if err := s.w.Flush(); err != nil {
+	if s.fw.runN >= s.flushEvery() {
+		if err := s.flush(); err != nil {
 			return fmt.Errorf("remote: flush to peer: %w", err)
 		}
 	}
@@ -234,13 +180,8 @@ func (s *Sink) ProcessTuple(_ int, t stream.Tuple, _ exec.Context) error {
 // ProcessPunct implements exec.Operator: punctuation flushes, like the
 // paged queues.
 func (s *Sink) ProcessPunct(_ int, e punct.Embedded, _ exec.Context) error {
-	s.armDeadline()
-	if err := s.enc.Encode(frame{Kind: framePunct, Pattern: marshalPattern(e.Pattern)}); err != nil {
-		return fmt.Errorf("remote: encode punct: %w", err)
-	}
-	s.framesOut.Add(1)
-	s.pending = 0
-	if err := s.w.Flush(); err != nil {
+	s.fw.punct(e.Pattern)
+	if err := s.flush(); err != nil {
 		return fmt.Errorf("remote: flush to peer: %w", err)
 	}
 	return nil
@@ -248,17 +189,12 @@ func (s *Sink) ProcessPunct(_ int, e punct.Embedded, _ exec.Context) error {
 
 // ForwardBarrier implements exec.BarrierForwarder: the checkpoint barrier
 // crosses the process boundary as a wire frame, positioned after every
-// tuple that preceded the local cut (they are already in the gob stream)
-// and flushed immediately so the downstream subplan can start its aligned
-// cut without waiting for a page to fill.
+// tuple that preceded the local cut (the open run frame closes ahead of
+// it) and flushed immediately so the downstream subplan can start its
+// aligned cut without waiting for a run to fill.
 func (s *Sink) ForwardBarrier(epoch int64, mode snapshot.CaptureMode, _ exec.Context) error {
-	s.armDeadline()
-	if err := s.enc.Encode(frame{Kind: frameBarrier, Seq: epoch, Intent: uint8(mode)}); err != nil {
-		return fmt.Errorf("remote: encode barrier epoch %d: %w", epoch, err)
-	}
-	s.framesOut.Add(1)
-	s.pending = 0
-	if err := s.w.Flush(); err != nil {
+	s.fw.barrier(epoch, mode)
+	if err := s.flush(); err != nil {
 		return fmt.Errorf("remote: flush barrier epoch %d: %w", epoch, err)
 	}
 	return nil
@@ -281,15 +217,8 @@ func (s *Sink) Close(exec.Context) error {
 	var firstErr error
 	s.closing.Store(true)
 	if s.started {
-		s.armDeadline()
-		if err := s.enc.Encode(frame{Kind: frameEOS}); err != nil {
-			firstErr = err
-		} else {
-			s.framesOut.Add(1)
-		}
-		if err := s.w.Flush(); err != nil && firstErr == nil {
-			firstErr = err
-		}
+		s.fw.eos()
+		firstErr = s.flush()
 	}
 	if cw, ok := s.Conn.(closeWriter); ok && s.started && firstErr == nil {
 		if err := cw.CloseWrite(); err != nil && firstErr == nil {
@@ -328,7 +257,7 @@ func (s *Sink) Stats() (sent, feedbackIn int64) {
 func (s *Sink) TelemetryVars() []telemetry.Var {
 	return []telemetry.Var{
 		{Name: "pace_remote_tuples_sent_total", Help: "Tuples framed onto the connection.", Kind: telemetry.Counter, Value: s.sent.Load},
-		{Name: "pace_remote_frames_sent_total", Help: "Frames (tuple, punct, barrier, EOS) written to the wire.", Kind: telemetry.Counter, Value: s.framesOut.Load},
+		{Name: "pace_remote_frames_sent_total", Help: "Frames (tuple run, punct, barrier, EOS) written to the wire; a run frame carries up to FlushEvery tuples.", Kind: telemetry.Counter, Value: s.framesOut.Load},
 		{Name: "pace_remote_bytes_sent_total", Help: "Bytes written to the connection.", Kind: telemetry.Counter, Value: s.bytesOut.Load},
 		{Name: "pace_remote_bytes_received_total", Help: "Feedback-path bytes read from the connection.", Kind: telemetry.Counter, Value: s.feedbackBy.Load},
 		{Name: "pace_remote_feedback_received_total", Help: "Feedback frames received from the remote consumer.", Kind: telemetry.Counter, Value: s.feedbackIn.Load},
@@ -338,7 +267,7 @@ func (s *Sink) TelemetryVars() []telemetry.Var {
 // Source is an exec.Source replaying the frames a remote Sink sends;
 // feedback delivered to it is framed back over the connection.
 //
-//pace:stateless its state is the connection itself (codec, barrier hook); the supervisor re-dials and the barrier protocol re-aligns on restore
+//pace:stateless its state is the connection itself (frame reader, barrier hook); the supervisor re-dials and the barrier protocol re-aligns on restore
 type Source struct {
 	SourceName string
 	Schema     stream.Schema
@@ -354,9 +283,9 @@ type Source struct {
 	// frames (source think time, feedback-driven droughts). Zero disables.
 	ReadTimeout time.Duration
 
-	dec  *gob.Decoder
-	w    *bufio.Writer
-	enc  *gob.Encoder
+	fr   *frameReader
+	fw   *frameWriter   // feedback frames; the magic goes out with the first
+	run  []stream.Tuple // decoded run, reused across frames
 	done bool
 
 	// barrierHook (SetBarrierHook) hands wire barriers to the local
@@ -400,13 +329,13 @@ func (s *Source) OutSchemas() []stream.Schema { return []stream.Schema{s.Schema}
 
 // Open implements exec.Source.
 func (s *Source) Open(exec.Context) error {
-	s.dec = gob.NewDecoder(&countingReader{r: s.Conn, n: &s.bytesIn})
-	s.w = bufio.NewWriter(&countingWriter{w: s.Conn, n: &s.feedbackBy})
-	s.enc = gob.NewEncoder(s.w)
+	s.fr = newFrameReader(&countingReader{r: s.Conn, n: &s.bytesIn})
+	s.fw = newFrameWriter()
 	return nil
 }
 
-// Next implements exec.Source: one frame per call.
+// Next implements exec.Source: one frame per call. A run frame's tuples
+// decode into one value slab and go downstream as one batch.
 func (s *Source) Next(ctx exec.Context) (bool, error) {
 	if s.done {
 		return false, nil
@@ -414,8 +343,8 @@ func (s *Source) Next(ctx exec.Context) (bool, error) {
 	if s.ReadTimeout > 0 {
 		_ = s.Conn.SetReadDeadline(time.Now().Add(s.ReadTimeout))
 	}
-	var f frame
-	if err := s.dec.Decode(&f); err != nil {
+	kind, payload, err := s.fr.next()
+	if err != nil {
 		var ne net.Error
 		if errors.As(err, &ne) && ne.Timeout() {
 			s.deadlineHits.Add(1)
@@ -433,20 +362,32 @@ func (s *Source) Next(ctx exec.Context) (bool, error) {
 		return false, fmt.Errorf("remote: decode: %w", err)
 	}
 	s.framesIn.Add(1)
-	switch f.Kind {
-	case frameTuple:
-		s.received.Add(1)
-		ctx.Emit(f.Tuple)
+	switch kind {
+	case frameRun:
+		if s.run, err = decodeRun(payload, s.Schema.Arity(), s.run); err != nil {
+			return false, err
+		}
+		s.received.Add(int64(len(s.run)))
+		if be, ok := ctx.(exec.BatchEmitter); ok {
+			be.EmitBatch(s.run)
+		} else {
+			for _, t := range s.run {
+				ctx.Emit(t)
+			}
+		}
 	case framePunct:
-		pat, err := unmarshalPattern(f.Pattern)
+		pat, err := decodePattern(payload)
 		if err != nil {
 			return false, fmt.Errorf("remote: decode punct pattern: %w", err)
 		}
+		if pat.Arity() != s.Schema.Arity() {
+			return false, fmt.Errorf("remote: punct pattern has arity %d, schema wants %d", pat.Arity(), s.Schema.Arity())
+		}
 		ctx.EmitPunct(punct.NewEmbedded(pat))
 	case frameBarrier:
-		mode := snapshot.CaptureMode(f.Intent)
-		if mode != snapshot.CaptureFull && mode != snapshot.CaptureDelta {
-			return false, fmt.Errorf("remote: barrier epoch %d carries unknown capture mode %d", f.Seq, f.Intent)
+		epoch, mode, err := decodeBarrier(payload)
+		if err != nil {
+			return false, err
 		}
 		if s.barrierHook != nil {
 			// The hook registers the epoch with the local coordinator
@@ -455,18 +396,18 @@ func (s *Source) Next(ctx exec.Context) (bool, error) {
 			// cut, which is what keeps parallel remote edges consistent
 			// (each cuts at its own barrier, not when the first edge's
 			// barrier registered the epoch).
-			if err := s.barrierHook(f.Seq, mode); err != nil {
-				return false, fmt.Errorf("remote: barrier epoch %d: %w", f.Seq, err)
+			if err := s.barrierHook(epoch, mode); err != nil {
+				return false, fmt.Errorf("remote: barrier epoch %d: %w", epoch, err)
 			}
 			if inj, ok := ctx.(exec.SourceBarrierInjector); ok {
-				inj.InjectWireBarrier(f.Seq)
+				inj.InjectWireBarrier(epoch)
 			}
 		}
 	case frameEOS:
 		s.done = true
 		return false, nil
 	default:
-		return false, fmt.Errorf("remote: unexpected frame kind %d on data path", f.Kind)
+		return false, fmt.Errorf("remote: unexpected frame kind %d on data path", kind)
 	}
 	return true, nil
 }
@@ -475,18 +416,13 @@ func (s *Source) Next(ctx exec.Context) (bool, error) {
 // against the stream direction.
 func (s *Source) ProcessFeedback(_ int, f core.Feedback, _ exec.Context) error {
 	s.feedbackOut.Add(1)
-	err := s.enc.Encode(frame{
-		Kind:    frameFeedback,
-		Pattern: marshalPattern(f.Pattern),
-		Intent:  uint8(f.Intent),
-		Origin:  f.Origin,
-		Hops:    f.Hops,
-		Seq:     f.Seq,
-	})
+	s.fw.feedback(f)
+	_, n, err := s.fw.flush(s.Conn)
+	s.feedbackBy.Add(int64(n))
 	if err != nil {
-		return fmt.Errorf("remote: encode feedback: %w", err)
+		return fmt.Errorf("remote: send feedback: %w", err)
 	}
-	return s.w.Flush()
+	return nil
 }
 
 // Close implements exec.Source.
@@ -503,7 +439,7 @@ func (s *Source) Stats() (received, feedbackOut int64) {
 func (s *Source) TelemetryVars() []telemetry.Var {
 	return []telemetry.Var{
 		{Name: "pace_remote_tuples_received_total", Help: "Tuples replayed from the remote producer.", Kind: telemetry.Counter, Value: s.received.Load},
-		{Name: "pace_remote_frames_received_total", Help: "Frames (tuple, punct, barrier, EOS) read from the wire.", Kind: telemetry.Counter, Value: s.framesIn.Load},
+		{Name: "pace_remote_frames_received_total", Help: "Frames (tuple run, punct, barrier, EOS) read from the wire; a run frame carries up to FlushEvery tuples.", Kind: telemetry.Counter, Value: s.framesIn.Load},
 		{Name: "pace_remote_bytes_received_total", Help: "Bytes read from the connection.", Kind: telemetry.Counter, Value: s.bytesIn.Load},
 		{Name: "pace_remote_bytes_sent_total", Help: "Feedback-path bytes written to the connection.", Kind: telemetry.Counter, Value: s.feedbackBy.Load},
 		{Name: "pace_remote_feedback_sent_total", Help: "Feedback frames sent to the remote producer.", Kind: telemetry.Counter, Value: s.feedbackOut.Load},

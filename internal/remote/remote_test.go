@@ -197,7 +197,7 @@ func TestWirePatternRoundTrip(t *testing.T) {
 		),
 	}
 	for _, p := range pats {
-		back, err := unmarshalPattern(marshalPattern(p))
+		back, err := decodePattern(p.AppendBinary(nil))
 		if err != nil {
 			t.Fatalf("wire round trip %v: %v", p, err)
 		}

@@ -316,6 +316,68 @@ func BenchmarkGuardTableSuppress(b *testing.B) {
 	}
 }
 
+// guardScaleSizes are the table sizes the guard scale benchmarks sweep; a
+// per-key feedback stream holds one guard per key and window.
+var guardScaleSizes = []int{8, 128, 1024, 10000}
+
+// perKeyGuard is the join's per-(segment, window) feedback shape: key k
+// over stream times [0, hi].
+func perKeyGuard(k, hi int64) core.Feedback {
+	return core.NewAssumed(punct.NewPattern(punct.Eq(stream.Int(k)),
+		punct.Range(stream.TimeMicros(0), stream.TimeMicros(hi)), punct.Wild))
+}
+
+// BenchmarkGuardTableSuppressScale probes tables of g per-key guards with
+// tuples whose keys no guard holds, the case a linear table scans in full.
+// ns/op should stay flat across g.
+func BenchmarkGuardTableSuppressScale(b *testing.B) {
+	for _, g := range guardScaleSizes {
+		b.Run(fmt.Sprintf("g=%d", g), func(b *testing.B) {
+			tab := core.NewGuardTable(3)
+			for k := 0; k < g; k++ {
+				tab.Install(perKeyGuard(int64(1_000_000+k), 999))
+			}
+			probes := make([]stream.Tuple, 64)
+			for i := range probes {
+				probes[i] = stream.NewTuple(stream.Int(int64(i)), stream.TimeMicros(500), stream.Float(60))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if tab.Suppress(probes[i%len(probes)]) {
+					b.Fatal("must not suppress")
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkGuardTableInstallScale installs into tables held at g per-key
+// guards: each op widens one key's window, so the new guard subsumes and
+// replaces the old one (the merge path, release and compaction included).
+// ns/op should stay flat across g.
+func BenchmarkGuardTableInstallScale(b *testing.B) {
+	for _, g := range guardScaleSizes {
+		b.Run(fmt.Sprintf("g=%d", g), func(b *testing.B) {
+			tab := core.NewGuardTable(3)
+			for k := 0; k < g; k++ {
+				tab.Install(perKeyGuard(int64(k), 999))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if !tab.Install(perKeyGuard(int64(i%g), int64(1000+i))) {
+					b.Fatal("a wider window must install")
+				}
+			}
+			b.StopTimer()
+			if tab.Active() != g {
+				b.Fatalf("table holds %d guards, want %d", tab.Active(), g)
+			}
+		})
+	}
+}
+
 func BenchmarkAggregateFold(b *testing.B) {
 	const minute = int64(60_000_000)
 	a := &op.Aggregate{

@@ -123,3 +123,25 @@ func TestResponseDid(t *testing.T) {
 		}
 	}
 }
+
+// A ResponseLog keeps the newest ResponseLogCap responses, oldest first,
+// and counts every response recorded.
+func TestResponseLogKeepsNewest(t *testing.T) {
+	var l ResponseLog
+	if l.Responses() != nil {
+		t.Error("empty log must return nil")
+	}
+	const n = ResponseLogCap + 10
+	for i := 0; i < n; i++ {
+		l.Add(Response{Feedback: Feedback{Seq: int64(i)}})
+	}
+	got := l.Responses()
+	if len(got) != ResponseLogCap || l.Total() != n {
+		t.Fatalf("kept %d of total %d, want %d of %d", len(got), l.Total(), ResponseLogCap, n)
+	}
+	for i, r := range got {
+		if want := int64(n - ResponseLogCap + i); r.Feedback.Seq != want {
+			t.Fatalf("response %d has seq %d, want %d", i, r.Feedback.Seq, want)
+		}
+	}
+}

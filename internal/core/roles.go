@@ -67,8 +67,8 @@ func (a Action) String() string {
 }
 
 // Response records what an operator did with one feedback punctuation.
-// Operators append responses to a log that tests and the Tables 1/2
-// demonstrator inspect.
+// Operators append responses to a ResponseLog that tests and the Tables
+// 1/2 demonstrator inspect.
 type Response struct {
 	Feedback Feedback
 	Actions  []Action
@@ -88,3 +88,40 @@ func (r Response) Did(a Action) bool {
 	}
 	return false
 }
+
+// ResponseLogCap is how many responses a ResponseLog keeps.
+const ResponseLogCap = 64
+
+// ResponseLog keeps an operator's newest ResponseLogCap feedback responses
+// and a count of all of them. Feedback state must not accumulate (§4.4):
+// a plan that answers feedback per key and window would otherwise hold
+// every response it ever made.
+type ResponseLog struct {
+	ring  []Response
+	total int64
+}
+
+// Add records one response, evicting the oldest kept one when full.
+func (l *ResponseLog) Add(r Response) {
+	if len(l.ring) < ResponseLogCap {
+		l.ring = append(l.ring, r)
+	} else {
+		l.ring[l.total%ResponseLogCap] = r
+	}
+	l.total++
+}
+
+// Responses returns a copy of the kept responses, oldest first; nil when
+// none were recorded.
+func (l *ResponseLog) Responses() []Response {
+	if len(l.ring) == 0 {
+		return nil
+	}
+	start := int(l.total % int64(len(l.ring)))
+	out := make([]Response, 0, len(l.ring))
+	out = append(out, l.ring[start:]...)
+	return append(out, l.ring[:start]...)
+}
+
+// Total returns how many responses were ever recorded.
+func (l *ResponseLog) Total() int64 { return l.total }

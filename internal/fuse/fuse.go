@@ -80,7 +80,7 @@ type step struct {
 	// guards live in the step's OUTPUT attribute space, exactly like the
 	// unfused operator's table.
 	guards    *core.GuardTable
-	responses []core.Response
+	responses core.ResponseLog
 	meter     *work.Meter
 
 	// Counters are atomics so /metrics can scrape per-constituent work
@@ -491,7 +491,7 @@ func (f *Fused) applyFeedback(fb core.Feedback) (core.Feedback, bool) {
 				resp.Actions = []core.Action{core.ActNone}
 			}
 		}
-		st.responses = append(st.responses, resp)
+		st.responses.Add(resp)
 		if !proceed {
 			return core.Feedback{}, false
 		}
@@ -581,7 +581,7 @@ func (f *Fused) TelemetryVars() []telemetry.Var {
 // StepResponses returns the feedback-response log of constituent i, the
 // fused equivalent of the unfused operator's Responses().
 func (f *Fused) StepResponses(i int) []core.Response {
-	return f.steps[i].responses
+	return f.steps[i].responses.Responses()
 }
 
 // CostBurned reports total evaluation work done across all constituents.

@@ -6,7 +6,7 @@
 // Every operator runs under the exec runtime and, where the paper
 // characterizes it, plays the producer / exploiter / relayer feedback roles
 // using the characterizations in package core. Operators keep a response
-// log (core.Response) that tests and cmd/tables inspect to verify enacted
+// log (core.ResponseLog) that tests and cmd/tables inspect to verify enacted
 // behaviour against Tables 1 and 2.
 package op
 
@@ -50,19 +50,17 @@ func (m FeedbackMode) String() string {
 	return "mode(?)"
 }
 
-// responseLog accumulates core.Response entries; operators embed it.
+// responseLog records core.Response entries in a bounded
+// core.ResponseLog; operators embed it.
 type responseLog struct {
-	responses []core.Response
+	log core.ResponseLog
 }
 
-func (l *responseLog) logResponse(r core.Response) {
-	l.responses = append(l.responses, r)
-}
+func (l *responseLog) logResponse(r core.Response) { l.log.Add(r) }
 
-// Responses returns the operator's feedback response log.
-func (l *responseLog) Responses() []core.Response {
-	return append([]core.Response(nil), l.responses...)
-}
+// Responses returns the operator's newest core.ResponseLogCap feedback
+// responses, oldest first.
+func (l *responseLog) Responses() []core.Response { return l.log.Responses() }
 
 // coveredByAllOthers reports whether every per-output guard table except
 // tables[skip] holds an installed guard whose pattern p implies — the
@@ -75,14 +73,7 @@ func coveredByAllOthers(tables []*core.GuardTable, skip int, p punct.Pattern) bo
 		if i == skip {
 			continue
 		}
-		covered := false
-		for _, gd := range g.Guards() {
-			if p.Implies(gd.Pattern) {
-				covered = true
-				break
-			}
-		}
-		if !covered {
+		if !g.Covers(p) {
 			return false
 		}
 	}

@@ -38,7 +38,10 @@ type compiledPred struct {
 	fastKind bool
 	// set indexes In-predicate members by Value.Hash for O(1) membership;
 	// buckets hold the values to resolve hash collisions with Equal.
-	set map[uint64][]stream.Value
+	// Members whose equals may hash elsewhere (stream.Value.HashExact) are
+	// scanned from spill instead.
+	set   map[uint64][]stream.Value
+	spill []stream.Value
 }
 
 // setThreshold is the In-set size above which membership switches from a
@@ -61,11 +64,17 @@ func (p Pattern) Compile(schema stream.Schema) *Compiled {
 		c.preds = []compiledPred{{attr: -1}}
 		return c
 	}
-	for i, pr := range p.preds {
-		if pr.IsWild() {
-			continue
+	bound := 0
+	for i := range p.preds {
+		if !p.preds[i].IsWild() {
+			bound++
 		}
-		c.preds = append(c.preds, newCompiledPred(i, pr))
+	}
+	c.preds = make([]compiledPred, 0, bound)
+	for i := range p.preds {
+		if !p.preds[i].IsWild() {
+			c.preds = append(c.preds, newCompiledPred(i, p.preds[i]))
+		}
 	}
 	return c
 }
@@ -85,6 +94,10 @@ func newCompiledPred(attr int, pr Pred) compiledPred {
 		if len(pr.Set) > setThreshold {
 			cp.set = make(map[uint64][]stream.Value, len(pr.Set))
 			for _, v := range pr.Set {
+				if !v.HashExact() {
+					cp.spill = append(cp.spill, v)
+					continue
+				}
 				h := v.Hash()
 				cp.set[h] = append(cp.set[h], v)
 			}
@@ -212,6 +225,11 @@ func (cp *compiledPred) matches(v stream.Value) bool {
 	}
 	if p.Op == In && cp.set != nil {
 		for _, m := range cp.set[v.Hash()] {
+			if v.Equal(m) {
+				return true
+			}
+		}
+		for _, m := range cp.spill {
 			if v.Equal(m) {
 				return true
 			}

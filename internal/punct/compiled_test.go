@@ -18,6 +18,8 @@ func TestCompiledMatchesEquivalence(t *testing.T) {
 		stream.String_(""), stream.String_("a"), stream.String_("zz"),
 		stream.TimeMicros(0), stream.TimeMicros(1_000_000),
 		stream.Bool(false), stream.Bool(true),
+		// Equal across kinds but hashed apart: float64(2^53+1) == 2^53.
+		stream.Int(1<<53 + 1), stream.Float(1 << 53),
 	}
 	preds := func(r *rand.Rand) Pred {
 		v := vals[r.Intn(len(vals))]

@@ -146,15 +146,17 @@ func (s *Scheme) CoversPattern(p Pattern) bool {
 	if p.Arity() != s.arity {
 		return false
 	}
-	for _, i := range p.Bound() {
-		if s.coversPred(i, p.Pred(i)) {
+	// Guard tables call this per punctuation for every guard, so it walks
+	// the predicates in place rather than allocating Pattern.Bound.
+	for i := range p.preds {
+		if pr := &p.preds[i]; !pr.IsWild() && s.coversPred(i, pr) {
 			return true
 		}
 	}
 	return false
 }
 
-func (s *Scheme) coversPred(i int, pr Pred) bool {
+func (s *Scheme) coversPred(i int, pr *Pred) bool {
 	if w := s.watermark[i]; w != nil && pr.Implies(*w) {
 		return true
 	}

@@ -240,6 +240,21 @@ func (v Value) Hash() uint64 {
 	return h
 }
 
+// HashExact reports whether every value Equal to v hashes like v, so a
+// hash index finds v's equals by probing v's bucket alone. It is false
+// for Int and Float magnitudes from 2^53 up, where float64 rounding makes
+// distinct integers Equal to one float, and for NaN.
+func (v Value) HashExact() bool {
+	const exact = 1 << 53
+	switch v.Kind {
+	case KindInt:
+		return v.I > -exact && v.I < exact
+	case KindFloat:
+		return v.F > -exact && v.F < exact
+	}
+	return true
+}
+
 // String renders the value for logs and punctuation printing.
 func (v Value) String() string {
 	switch v.Kind {

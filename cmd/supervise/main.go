@@ -433,7 +433,7 @@ func runChild(o options) error {
 		return err
 	}
 	defer stopTel()
-	restored, skipped, err := b.RestoreLatestIntact(chain)
+	restored, skipped, err := b.RestoreLatest(chain)
 	if err != nil {
 		return err
 	}

@@ -80,10 +80,13 @@ func (s *pausableSource) Next(ctx exec.Context) (bool, error) {
 	return true, nil
 }
 
-// SaveState implements snapshot.Stater.
-func (s *pausableSource) SaveState(enc *snapshot.Encoder) error {
-	enc.PutInt64(s.pos.Load())
-	return nil
+// CaptureState implements snapshot.Stater: the replay position.
+func (s *pausableSource) CaptureState(snapshot.CaptureMode) (snapshot.Capture, error) {
+	pos := s.pos.Load()
+	return snapshot.Capture{Encode: func(enc *snapshot.Encoder) error {
+		enc.PutInt64(pos)
+		return nil
+	}}, nil
 }
 
 // LoadState implements snapshot.Stater.
@@ -150,6 +153,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	chain := snapshot.NewChain(backend)
 
 	// --- Run 1: stream half the data, checkpoint, crash. ---
 	src1 := &pausableSource{items: items, pauseAt: pauseAt}
@@ -161,11 +165,11 @@ func main() {
 	}
 
 	start := time.Now()
-	snap, err := b1.Graph().Checkpoint(context.Background())
+	snap, err := b1.Graph().Checkpoint(context.Background(), snapshot.CaptureFull)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := snap.Save(backend, "speedmap-mid"); err != nil {
+	if _, err := chain.Put(snap); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("checkpoint: epoch %d, %d nodes, %d bytes, took %v (results so far: %d)\n",
@@ -180,8 +184,8 @@ func main() {
 	src2.release.Store(true)
 	b2, sink2 := buildPlan(src2)
 	start = time.Now()
-	if err := b2.Restore(backend, "speedmap-mid"); err != nil {
-		log.Fatal(err)
+	if ok, _, err := b2.RestoreLatest(chain); err != nil || !ok {
+		log.Fatalf("restore: ok=%v err=%v", ok, err)
 	}
 	if err := b2.Run(); err != nil {
 		log.Fatal(err)

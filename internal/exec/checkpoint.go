@@ -11,21 +11,23 @@ import (
 
 // Checkpointing: the runtime half of the internal/snapshot subsystem.
 //
-// Graph.Checkpoint injects one barrier epoch at every source; barriers flow
-// in-band through the paged queues, the node runner aligns them across
-// inputs (runner.go), and each node deposits its phase-1 capture here at
-// its cut. The cut is two-phase (DESIGN.md §7): at the barrier the node
-// only takes a cheap consistent view of its state (snapshot.TwoPhase) and
-// the barrier releases immediately; serialization — and, for chain-backed
-// checkpoints, persistence — happens afterwards on a background goroutine,
-// so the stall a checkpoint imposes on the pipeline no longer scales with
-// state size. Checkpoints can also be incremental: CaptureDelta asks every
-// node for only the state changed since the previous capture, and the
-// resulting snapshot chains off its predecessor (snapshot.Chain).
+// Three calls make up the surface. Graph.Checkpoint injects one barrier
+// epoch at every source; barriers flow in-band through the paged queues,
+// the node runner aligns them across inputs (runner.go), and each node
+// deposits its phase-1 capture here at its cut. The cut is two-phase
+// (DESIGN.md §7): at the barrier the node only takes a cheap consistent
+// view of its state (snapshot.Stater.CaptureState) and the barrier releases
+// immediately; serialization — and, for chain-backed checkpoints,
+// persistence — happens afterwards on a background goroutine, so the stall
+// a checkpoint imposes on the pipeline does not scale with state size.
+// Checkpoints can also be incremental: CaptureDelta asks every node for
+// only the state changed since the previous capture, and the resulting
+// snapshot chains off its predecessor (snapshot.Chain).
 //
-// Graph.Restore stages a previously taken snapshot — or a base+delta chain
-// — on a freshly *rebuilt* plan; each node's LoadState (then ApplyDelta per
-// delta) runs right after its Open, before any data.
+// Graph.RestoreLatest stages the newest intact epoch of a chain on a
+// freshly *rebuilt* plan, and Graph.RestoreChain stages an exact base+delta
+// chain (distributed restore, epoch replay); each node's LoadState (then
+// ApplyDelta per delta) runs right after its Open, before any data.
 
 // ErrKilled is the error Run returns after Kill: the graph was stopped
 // mid-stream deliberately (crash simulation, operator-initiated teardown).
@@ -55,12 +57,6 @@ type CheckpointStatus struct {
 	Bytes  int
 }
 
-// nodeCut is one node's phase-1 contribution.
-type nodeCut struct {
-	cap  snapshot.Capture
-	blob []byte // legacy one-phase Staters: encoded synchronously at the cut
-}
-
 // chkResult is delivered to blocking Checkpoint callers.
 type chkResult struct {
 	snap *snapshot.Snapshot
@@ -74,14 +70,14 @@ type inflight struct {
 	mode  snapshot.CaptureMode
 	chain *snapshot.Chain // optional persistence target
 
-	pending  map[NodeID]bool    // nodes that have not cut yet
-	cuts     map[NodeID]nodeCut // phase-1 captures
-	err      error              // first failure; poisons the checkpoint
-	hold     time.Duration      // max single-node capture duration
-	captured chan struct{}      // closed when every node has cut
-	result   chan chkResult     // buffered; delivered by the finisher
-	prevDone chan struct{}      // previous checkpoint's finish ticket
-	done     chan struct{}      // closed when finished or cancelled
+	pending  map[NodeID]bool             // nodes that have not cut yet
+	cuts     map[NodeID]snapshot.Capture // phase-1 captures
+	err      error                       // first failure; poisons the checkpoint
+	hold     time.Duration               // max single-node capture duration
+	captured chan struct{}               // closed when every node has cut
+	result   chan chkResult              // buffered; delivered by the finisher
+	prevDone chan struct{}               // previous checkpoint's finish ticket
+	done     chan struct{}               // closed when finished or cancelled
 
 	// abandoned/finished (under chkMu) coordinate a caller that gives up
 	// after the capture phase with the background finisher: a chain-less
@@ -108,28 +104,21 @@ func (g *Graph) Kill() {
 	}
 }
 
-// Checkpoint takes a full punctuation-aligned snapshot of the running plan.
-// It blocks until the snapshot is assembled (captures at every node, then
+// Checkpoint takes a punctuation-aligned snapshot of the running plan. It
+// blocks until the snapshot is assembled (captures at every node, then
 // background encoding) or ctx is cancelled; the pipeline itself is only
 // held for the capture phase. One checkpoint may be in flight at a time.
-// The returned snapshot persists with Snapshot.Save or Chain.Put and
-// restores into an identically rebuilt plan with Graph.Restore.
-func (g *Graph) Checkpoint(ctx context.Context) (*snapshot.Snapshot, error) {
-	return g.checkpointWait(ctx, snapshot.CaptureFull)
-}
-
-// CheckpointIncremental takes a delta checkpoint: every node contributes
-// only the state changed since the previous checkpoint, and the returned
-// snapshot's Base names the epoch it chains from. The first checkpoint of
-// a run — and the first after any failed or cancelled checkpoint — is
-// silently upgraded to a full snapshot (Base == 0), so callers can simply
-// loop on CheckpointIncremental.
-func (g *Graph) CheckpointIncremental(ctx context.Context) (*snapshot.Snapshot, error) {
-	return g.checkpointWait(ctx, snapshot.CaptureDelta)
-}
-
-func (g *Graph) checkpointWait(ctx context.Context, mode snapshot.CaptureMode) (*snapshot.Snapshot, error) {
-	c, err := g.triggerCheckpoint(mode, nil)
+//
+// With CaptureDelta every node contributes only the state changed since
+// the previous checkpoint, and the returned snapshot's Base names the epoch
+// it chains from. The first checkpoint of a run — and the first after any
+// failed or cancelled checkpoint — is silently upgraded to a full snapshot
+// (Base == 0), so callers can simply loop on CaptureDelta.
+//
+// The returned snapshot persists with Chain.Put and restores into an
+// identically rebuilt plan with Graph.RestoreLatest or RestoreChain.
+func (g *Graph) Checkpoint(ctx context.Context, mode snapshot.CaptureMode) (*snapshot.Snapshot, error) {
+	c, err := g.trigger(0, mode, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -140,18 +129,6 @@ func (g *Graph) checkpointWait(ctx context.Context, mode snapshot.CaptureMode) (
 		g.cancelCheckpoint(c, ctx.Err())
 		return nil, fmt.Errorf("exec: checkpoint %d: %w", c.epoch, ctx.Err())
 	}
-}
-
-// CheckpointInto triggers a checkpoint persisted to the chain in the
-// background and returns its epoch as soon as the capture phase is under
-// way — it does not wait for the barrier, the encode, or the write. The
-// outcome lands in CheckpointStatus; WaitCheckpoints drains stragglers.
-func (g *Graph) CheckpointInto(chain *snapshot.Chain, mode snapshot.CaptureMode) (int64, error) {
-	c, err := g.triggerCheckpoint(mode, chain)
-	if err != nil {
-		return 0, err
-	}
-	return c.epoch, nil
 }
 
 // WaitCheckpoints blocks until every background encode/persist has
@@ -185,34 +162,11 @@ func (g *Graph) recordStatusLocked(st CheckpointStatus) {
 	g.statuses = append(g.statuses, st)
 }
 
-// CheckpointAtInto triggers a checkpoint at an externally assigned epoch —
-// the receiving half of a cross-process barrier (a DistFollower's plan must
-// cut at the coordinator's epoch number, not its own counter). It returns
-// the checkpoint's completion channel; a duplicate of the still-active
-// epoch (a parallel remote edge delivering the same barrier) returns that
-// checkpoint's channel, and a nil channel with nil error means the epoch
-// was already taken — completed or superseded — and there is nothing to
-// wait for. The outcome is readable via CheckpointStatus once the channel
-// closes.
-func (g *Graph) CheckpointAtInto(epoch int64, mode snapshot.CaptureMode, chain *snapshot.Chain) (<-chan struct{}, error) {
-	if epoch <= 0 {
-		return nil, fmt.Errorf("exec: checkpoint: non-positive epoch %d", epoch)
-	}
-	c, err := g.trigger(epoch, mode, chain)
-	if err != nil || c == nil {
-		return nil, err
-	}
-	return c.done, nil
-}
-
-// triggerCheckpoint starts one checkpoint at the next local epoch.
-func (g *Graph) triggerCheckpoint(mode snapshot.CaptureMode, chain *snapshot.Chain) (*inflight, error) {
-	return g.trigger(0, mode, chain)
-}
-
-// trigger starts one checkpoint: it registers the epoch so sources inject
-// barriers, captures already-exited nodes, and spawns the background
-// finisher chain. It returns without waiting for alignment. forceEpoch == 0
+// trigger starts one checkpoint, persisted to chain in the background when
+// chain is non-nil: it registers the epoch so sources inject barriers,
+// captures already-exited nodes, and spawns the background finisher chain.
+// It returns without waiting for alignment; the outcome lands in
+// CheckpointStatus once the checkpoint's done channel closes. forceEpoch == 0
 // assigns the next local epoch; a positive forceEpoch adopts an external
 // (coordinator-assigned) numbering — a duplicate of the active epoch
 // returns the active checkpoint, an epoch at or below the newest triggered
@@ -267,7 +221,7 @@ func (g *Graph) trigger(forceEpoch int64, mode snapshot.CaptureMode, chain *snap
 		mode:     mode,
 		chain:    chain,
 		pending:  make(map[NodeID]bool, len(g.liveNodes)),
-		cuts:     make(map[NodeID]nodeCut),
+		cuts:     make(map[NodeID]snapshot.Capture),
 		captured: make(chan struct{}),
 		result:   make(chan chkResult, 1),
 		done:     make(chan struct{}),
@@ -377,7 +331,7 @@ func (g *Graph) supersedeLocked(newer int64) {
 // epochs (a cancelled checkpoint's barrier still draining) are ignored.
 // When the last node acks, the barrier phase is over: the checkpoint
 // leaves the coordinator and finishes on a background goroutine.
-func (g *Graph) ackNode(id NodeID, epoch int64, cut nodeCut, err error, hold time.Duration) {
+func (g *Graph) ackNode(id NodeID, epoch int64, cut snapshot.Capture, err error, hold time.Duration) {
 	g.chkMu.Lock()
 	defer g.chkMu.Unlock()
 	c := g.activeChk
@@ -435,12 +389,9 @@ func (g *Graph) finishCheckpoint(c *inflight) {
 		for _, n := range g.nodes {
 			cut := c.cuts[n.id]
 			ns := snapshot.NodeState{ID: int(n.id), Name: n.name()}
-			switch {
-			case len(cut.blob) > 0:
-				ns.State = cut.blob
-			case cut.cap.Encode != nil:
+			if cut.Encode != nil {
 				enc := snapshot.NewEncoder()
-				if eerr := cut.cap.Encode(enc); eerr != nil && err == nil {
+				if eerr := cut.Encode(enc); eerr != nil && err == nil {
 					err = fmt.Errorf("exec: node %q: encode state: %w", n.name(), eerr)
 				}
 				blob, berr := enc.Bytes()
@@ -448,7 +399,7 @@ func (g *Graph) finishCheckpoint(c *inflight) {
 					err = fmt.Errorf("exec: node %q: encode state: %w", n.name(), berr)
 				}
 				ns.State = blob
-				ns.Delta = cut.cap.Delta
+				ns.Delta = cut.Delta
 			}
 			bytes += len(ns.State)
 			snap.Nodes = append(snap.Nodes, ns)
@@ -543,7 +494,7 @@ func (g *Graph) nodeExit(n *node, runErr error) {
 		c := g.activeChk
 		g.chkMu.Unlock()
 		if c != nil {
-			g.ackNode(n.id, c.epoch, nodeCut{},
+			g.ackNode(n.id, c.epoch, snapshot.Capture{},
 				fmt.Errorf("exec: node %q stopped before checkpoint %d completed", n.name(), c.epoch), 0)
 		}
 		return
@@ -575,30 +526,18 @@ func (n *node) stater() snapshot.Stater {
 	return s
 }
 
-// captureNode takes one node's phase-1 capture. Two-phase Staters hand
-// back a view; legacy one-phase Staters are serialized on the spot (their
-// cut still pays O(state) at the barrier, as before the refactor).
-func captureNode(n *node, mode snapshot.CaptureMode) (nodeCut, error) {
+// captureNode takes one node's phase-1 capture; a node without a Stater
+// contributes an empty capture.
+func captureNode(n *node, mode snapshot.CaptureMode) (snapshot.Capture, error) {
 	st := n.stater()
 	if st == nil {
-		return nodeCut{}, nil
+		return snapshot.Capture{}, nil
 	}
-	if tp, ok := st.(snapshot.TwoPhase); ok {
-		cap, err := tp.CaptureState(mode)
-		if err != nil {
-			return nodeCut{}, fmt.Errorf("exec: node %q: capture state: %w", n.name(), err)
-		}
-		return nodeCut{cap: cap}, nil
-	}
-	enc := snapshot.NewEncoder()
-	if err := st.SaveState(enc); err != nil {
-		return nodeCut{}, fmt.Errorf("exec: node %q: save state: %w", n.name(), err)
-	}
-	blob, err := enc.Bytes()
+	c, err := st.CaptureState(mode)
 	if err != nil {
-		return nodeCut{}, fmt.Errorf("exec: node %q: save state: %w", n.name(), err)
+		return snapshot.Capture{}, fmt.Errorf("exec: node %q: capture state: %w", n.name(), err)
 	}
-	return nodeCut{blob: blob}, nil
+	return c, nil
 }
 
 // stagedState is the restore payload for one node: a complete base blob
@@ -608,40 +547,16 @@ type stagedState struct {
 	deltas [][]byte
 }
 
-// Restore loads the self-contained snapshot stored under id and stages it
-// so the next Run resumes from the cut. For chained (incremental)
-// checkpoints use RestoreLatest/RestoreChain instead.
-func (g *Graph) Restore(backend snapshot.Backend, id string) error {
-	s, err := snapshot.Load(backend, id)
-	if err != nil {
-		return err
-	}
-	return g.RestoreSnapshot(s)
-}
-
-// RestoreLatest stages the newest restorable epoch of a chain; it is a
-// no-op (ok=false) on an empty chain, so cold starts and recoveries share
-// one call site.
-func (g *Graph) RestoreLatest(chain *snapshot.Chain) (ok bool, err error) {
-	snaps, err := chain.Latest()
-	if err != nil {
-		return false, err
-	}
-	if len(snaps) == 0 {
-		return false, nil
-	}
-	return true, g.RestoreChain(snaps)
-}
-
-// RestoreLatestIntact stages the newest epoch of a chain whose lineage
-// decodes cleanly, degrading past corrupt blobs (ErrCorruptSnapshot)
-// instead of failing the whole restore. When it degrades, the corrupt tail
-// is truncated before staging so the resumed run's epoch numbering — which
+// RestoreLatest stages the newest epoch of a chain whose lineage decodes
+// cleanly, degrading past corrupt blobs (ErrCorruptSnapshot) instead of
+// failing the whole restore. When it degrades, the corrupt tail is
+// truncated before staging so the resumed run's epoch numbering — which
 // continues from the restored cut — cannot collide with the damaged epochs
 // still on disk; skipped reports what was walked past so callers can log
-// the degradation. A chain where nothing is intact truncates to empty and
-// cold-starts (ok=false).
-func (g *Graph) RestoreLatestIntact(chain *snapshot.Chain) (ok bool, skipped []snapshot.Fallback, err error) {
+// the degradation. An empty chain, or one where nothing is intact (which
+// truncates to empty), cold-starts with ok=false, so cold starts and
+// recoveries share one call site.
+func (g *Graph) RestoreLatest(chain *snapshot.Chain) (ok bool, skipped []snapshot.Fallback, err error) {
 	snaps, skipped, err := chain.LatestIntact()
 	if err != nil {
 		return false, skipped, err
@@ -660,11 +575,6 @@ func (g *Graph) RestoreLatestIntact(chain *snapshot.Chain) (ok bool, skipped []s
 		}
 	}
 	return true, skipped, g.RestoreChain(snaps)
-}
-
-// RestoreSnapshot stages one self-contained snapshot (see Restore).
-func (g *Graph) RestoreSnapshot(s *snapshot.Snapshot) error {
-	return g.RestoreChain([]*snapshot.Snapshot{s})
 }
 
 // RestoreChain stages a base-first snapshot chain: each node's LoadState

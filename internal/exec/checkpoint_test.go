@@ -50,10 +50,13 @@ func (s *gatedSource) Next(ctx Context) (bool, error) {
 	return true, nil
 }
 
-// SaveState implements snapshot.Stater.
-func (s *gatedSource) SaveState(enc *snapshot.Encoder) error {
-	enc.PutInt(s.pos)
-	return nil
+// CaptureState implements snapshot.Stater.
+func (s *gatedSource) CaptureState(snapshot.CaptureMode) (snapshot.Capture, error) {
+	pos := s.pos
+	return snapshot.Capture{Encode: func(enc *snapshot.Encoder) error {
+		enc.PutInt(pos)
+		return nil
+	}}, nil
 }
 
 // LoadState implements snapshot.Stater.
@@ -100,7 +103,7 @@ func TestCheckpointRestoreQuiescent(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	snap, err := g1.Checkpoint(ctx)
+	snap, err := g1.Checkpoint(ctx, snapshot.CaptureFull)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,13 +118,13 @@ func TestCheckpointRestoreQuiescent(t *testing.T) {
 	}
 
 	// Round-trip through a backend, then restore into a rebuilt plan.
-	backend := snapshot.NewMemory()
-	if err := snap.Save(backend, "ckpt"); err != nil {
+	chain := snapshot.NewChain(snapshot.NewMemory())
+	if _, err := chain.Put(snap); err != nil {
 		t.Fatal(err)
 	}
 	g2, src2, sink2 := build(true)
-	if err := g2.Restore(backend, "ckpt"); err != nil {
-		t.Fatal(err)
+	if ok, _, err := g2.RestoreLatest(chain); err != nil || !ok {
+		t.Fatalf("RestoreLatest: ok=%v err=%v", ok, err)
 	}
 	if err := g2.Run(); err != nil {
 		t.Fatal(err)
@@ -174,12 +177,15 @@ func (s *summing2) Close(ctx Context) error {
 	return nil
 }
 
-// SaveState implements snapshot.Stater.
-func (s *summing2) SaveState(enc *snapshot.Encoder) error {
-	enc.PutInt64(s.sum)
-	enc.PutInt64(s.perIn[0])
-	enc.PutInt64(s.perIn[1])
-	return nil
+// CaptureState implements snapshot.Stater.
+func (s *summing2) CaptureState(snapshot.CaptureMode) (snapshot.Capture, error) {
+	sum, perIn := s.sum, s.perIn
+	return snapshot.Capture{Encode: func(enc *snapshot.Encoder) error {
+		enc.PutInt64(sum)
+		enc.PutInt64(perIn[0])
+		enc.PutInt64(perIn[1])
+		return nil
+	}}, nil
 }
 
 // LoadState implements snapshot.Stater.
@@ -231,7 +237,7 @@ func TestCheckpointAlignsMultiInput(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	snap, err := g1.Checkpoint(ctx)
+	snap, err := g1.Checkpoint(ctx, snapshot.CaptureFull)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +247,7 @@ func TestCheckpointAlignsMultiInput(t *testing.T) {
 	}
 
 	g2, _, sink2 := build(true)
-	if err := g2.RestoreSnapshot(snap); err != nil {
+	if err := g2.RestoreChain([]*snapshot.Snapshot{snap}); err != nil {
 		t.Fatal(err)
 	}
 	if err := g2.Run(); err != nil {
@@ -272,7 +278,7 @@ func TestCheckpointAfterCleanFinish(t *testing.T) {
 	// The graph is no longer running; Checkpoint must refuse rather than
 	// hang (the exit-state path is only reachable while other nodes are
 	// still live).
-	if _, err := g.Checkpoint(context.Background()); err == nil {
+	if _, err := g.Checkpoint(context.Background(), snapshot.CaptureFull); err == nil {
 		t.Fatal("checkpoint of a finished graph must fail")
 	}
 }
@@ -300,7 +306,7 @@ func TestRestoreValidatesPlanShape(t *testing.T) {
 	g := NewGraph()
 	sid := g.AddSource(NewSliceSource("other", oneInt, intTuple(1)))
 	g.Add(NewCollector("sink", oneInt), From(sid))
-	if err := g.RestoreSnapshot(snap); err != nil {
+	if err := g.RestoreChain([]*snapshot.Snapshot{snap}); err != nil {
 		t.Fatal(err)
 	}
 	if err := g.Run(); err == nil {
@@ -312,7 +318,7 @@ func TestRestoreValidatesPlanShape(t *testing.T) {
 	sid = g2.AddSource(NewSliceSource("src", oneInt, intTuple(1)))
 	mid := g2.Add(&passthrough{name: "mid"}, From(sid))
 	g2.Add(NewCollector("sink", oneInt), From(mid))
-	if err := g2.RestoreSnapshot(snap); err != nil {
+	if err := g2.RestoreChain([]*snapshot.Snapshot{snap}); err != nil {
 		t.Fatal(err)
 	}
 	if err := g2.Run(); err == nil {
@@ -326,7 +332,7 @@ func TestRestoreValidatesPlanShape(t *testing.T) {
 	if err := g3.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if err := g3.RestoreSnapshot(snap); err == nil {
+	if err := g3.RestoreChain([]*snapshot.Snapshot{snap}); err == nil {
 		t.Fatal("restore into an already-run graph accepted")
 	}
 }
@@ -336,7 +342,7 @@ func TestCheckpointNotRunning(t *testing.T) {
 	g := NewGraph()
 	sid := g.AddSource(NewSliceSource("src", oneInt, intTuple(1)))
 	g.Add(NewCollector("sink", oneInt), From(sid))
-	if _, err := g.Checkpoint(context.Background()); err == nil {
+	if _, err := g.Checkpoint(context.Background(), snapshot.CaptureFull); err == nil {
 		t.Fatal("checkpoint before Run must fail")
 	}
 	// Kill before Run is a no-op.
@@ -386,10 +392,13 @@ func (s *blockingSource) Next(ctx Context) (bool, error) {
 	return true, nil
 }
 
-// SaveState implements snapshot.Stater.
-func (s *blockingSource) SaveState(enc *snapshot.Encoder) error {
-	enc.PutInt(s.pos)
-	return nil
+// CaptureState implements snapshot.Stater.
+func (s *blockingSource) CaptureState(snapshot.CaptureMode) (snapshot.Capture, error) {
+	pos := s.pos
+	return snapshot.Capture{Encode: func(enc *snapshot.Encoder) error {
+		enc.PutInt(pos)
+		return nil
+	}}, nil
 }
 
 // LoadState implements snapshot.Stater.
@@ -442,7 +451,7 @@ func TestCheckpointCancelThenRetry(t *testing.T) {
 	// the summing operator.
 	ctx1, cancel1 := context.WithTimeout(context.Background(), 250*time.Millisecond)
 	defer cancel1()
-	if _, err := g1.Checkpoint(ctx1); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := g1.Checkpoint(ctx1, snapshot.CaptureFull); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("checkpoint with a blocked source = %v, want a deadline error", err)
 	}
 
@@ -454,7 +463,7 @@ func TestCheckpointCancelThenRetry(t *testing.T) {
 	defer cancel2()
 	var snap *snapshot.Snapshot
 	for {
-		s, err := g1.Checkpoint(ctx2)
+		s, err := g1.Checkpoint(ctx2, snapshot.CaptureFull)
 		if err == nil {
 			snap = s
 			break
@@ -470,7 +479,7 @@ func TestCheckpointCancelThenRetry(t *testing.T) {
 	}
 
 	g2, _, sink2 := build(true)
-	if err := g2.RestoreSnapshot(snap); err != nil {
+	if err := g2.RestoreChain([]*snapshot.Snapshot{snap}); err != nil {
 		t.Fatal(err)
 	}
 	if err := g2.Run(); err != nil {

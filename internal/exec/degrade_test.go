@@ -8,12 +8,12 @@ import (
 	"repro/internal/snapshot"
 )
 
-// TestRestoreLatestIntactDegrades: a corrupted blob at the newest epoch
+// TestRestoreLatestDegrades: a corrupted blob at the newest epoch
 // must not fail the restore — the graph falls back to the newest intact
 // older epoch (surfacing the typed skip), truncates the corrupt tail so
 // resumed epoch numbering cannot collide with it, and the recovered run
 // still produces exactly the uninterrupted result.
-func TestRestoreLatestIntactDegrades(t *testing.T) {
+func TestRestoreLatestDegrades(t *testing.T) {
 	const total = 400
 	build := func(open bool) (*Graph, *limitedSource, *Collector) {
 		src := &limitedSource{schema: incrSchema, total: total}
@@ -49,9 +49,9 @@ func TestRestoreLatestIntactDegrades(t *testing.T) {
 			err  error
 		)
 		if i == 0 {
-			snap, err = g1.Checkpoint(ctx)
+			snap, err = g1.Checkpoint(ctx, snapshot.CaptureFull)
 		} else {
-			snap, err = g1.CheckpointIncremental(ctx)
+			snap, err = g1.Checkpoint(ctx, snapshot.CaptureDelta)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -79,9 +79,9 @@ func TestRestoreLatestIntactDegrades(t *testing.T) {
 
 	// Restore must degrade to the middle epoch, typed and truncated.
 	g2, _, sink2 := build(true)
-	ok, skipped, err := g2.RestoreLatestIntact(chain)
+	ok, skipped, err := g2.RestoreLatest(chain)
 	if err != nil || !ok {
-		t.Fatalf("RestoreLatestIntact: ok=%v err=%v", ok, err)
+		t.Fatalf("RestoreLatest: ok=%v err=%v", ok, err)
 	}
 	if len(skipped) != 1 || skipped[0].Epoch != epochs[2] || !errors.Is(skipped[0].Err, snapshot.ErrCorruptSnapshot) {
 		t.Fatalf("skipped = %+v, want one typed skip of epoch %d", skipped, epochs[2])
@@ -138,9 +138,9 @@ func TestRestoreCommittedDegrades(t *testing.T) {
 			err  error
 		)
 		if i == 0 {
-			snap, err = g1.Checkpoint(ctx)
+			snap, err = g1.Checkpoint(ctx, snapshot.CaptureFull)
 		} else {
-			snap, err = g1.CheckpointIncremental(ctx)
+			snap, err = g1.Checkpoint(ctx, snapshot.CaptureDelta)
 		}
 		if err != nil {
 			t.Fatal(err)

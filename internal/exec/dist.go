@@ -20,7 +20,7 @@ import (
 //     through the subplan and each remote sink forwards the barrier as a
 //     wire frame after everything that preceded the cut (BarrierForwarder);
 //   - the follower process's remote source hands the wire barrier to its
-//     local coordinator (BarrierReceiver → Graph.CheckpointAtInto), which
+//     local coordinator (BarrierReceiver → DistFollower.onBarrier), which
 //     cuts the downstream subplan at the same epoch number;
 //   - each subplan persists its own snapshot.Chain locally and the follower
 //     acks (epoch, chain id) over a dedicated control connection;
@@ -257,7 +257,7 @@ func (dc *DistCoordinator) readAcks(p *distPeer) {
 // epochs (local failure, follower failure, ack timeout) — the plan keeps
 // running either way, exactly as with local checkpoint failures.
 func (dc *DistCoordinator) CheckpointOnce(mode snapshot.CaptureMode) (int64, error) {
-	c, err := dc.g.triggerCheckpoint(mode, dc.chain)
+	c, err := dc.g.trigger(0, mode, dc.chain)
 	if err != nil {
 		return 0, err
 	}
@@ -447,15 +447,18 @@ func (df *DistFollower) Handshake() (restored bool, err error) {
 // stops the subplan); checkpoint failures are acked with Err instead, so
 // the coordinator abandons the epoch while the stream keeps flowing.
 func (df *DistFollower) onBarrier(epoch int64, mode snapshot.CaptureMode) error {
-	done, err := df.g.CheckpointAtInto(epoch, mode, df.chain)
+	if epoch <= 0 {
+		return fmt.Errorf("exec: checkpoint: non-positive epoch %d", epoch)
+	}
+	c, err := df.g.trigger(epoch, mode, df.chain)
 	if err != nil {
 		return err
 	}
-	if done == nil {
+	if c == nil {
 		return nil // stale barrier (epoch already completed or superseded)
 	}
 	// Parallel remote edges deliver the same epoch once each and each gets
-	// the active checkpoint's channel back; exactly one ack watcher runs.
+	// the active checkpoint back; exactly one ack watcher runs.
 	df.mu.Lock()
 	if epoch <= df.ackSpawned {
 		df.mu.Unlock()
@@ -464,7 +467,7 @@ func (df *DistFollower) onBarrier(epoch int64, mode snapshot.CaptureMode) error 
 	df.ackSpawned = epoch
 	df.mu.Unlock()
 	go func() {
-		<-done
+		<-c.done
 		ack := snapshot.DistMsg{Kind: snapshot.DistAck, Part: df.part, Epoch: epoch}
 		st, ok := df.g.CheckpointStatus(epoch)
 		switch {

@@ -52,18 +52,13 @@ func (s *limitedSource) Next(ctx Context) (bool, error) {
 	return true, nil
 }
 
-// CaptureState implements snapshot.TwoPhase.
+// CaptureState implements snapshot.Stater.
 func (s *limitedSource) CaptureState(snapshot.CaptureMode) (snapshot.Capture, error) {
 	pos := s.pos.Load()
 	return snapshot.Capture{Encode: func(enc *snapshot.Encoder) error {
 		enc.PutInt64(pos)
 		return nil
 	}}, nil
-}
-
-// SaveState implements snapshot.Stater.
-func (s *limitedSource) SaveState(enc *snapshot.Encoder) error {
-	return snapshot.EncodeCapture(s, enc)
 }
 
 // LoadState implements snapshot.Stater.
@@ -127,9 +122,9 @@ func TestIncrementalCheckpointChainRestore(t *testing.T) {
 			err  error
 		)
 		if i == 0 {
-			snap, err = g1.Checkpoint(ctx)
+			snap, err = g1.Checkpoint(ctx, snapshot.CaptureFull)
 		} else {
-			snap, err = g1.CheckpointIncremental(ctx)
+			snap, err = g1.Checkpoint(ctx, snapshot.CaptureDelta)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -162,7 +157,7 @@ func TestIncrementalCheckpointChainRestore(t *testing.T) {
 
 	// Restore the chain into a rebuilt plan and finish the stream.
 	g2, _, sink2 := build(true)
-	ok, err := g2.RestoreLatest(chain)
+	ok, _, err := g2.RestoreLatest(chain)
 	if err != nil || !ok {
 		t.Fatalf("RestoreLatest: ok=%v err=%v", ok, err)
 	}
@@ -196,7 +191,7 @@ type slowCapSource struct {
 	release       chan struct{}
 }
 
-// CaptureState implements snapshot.TwoPhase.
+// CaptureState implements snapshot.Stater.
 func (s *slowCapSource) CaptureState(snapshot.CaptureMode) (snapshot.Capture, error) {
 	pos := s.pos.Load()
 	return snapshot.Capture{Encode: func(enc *snapshot.Encoder) error {
@@ -208,11 +203,6 @@ func (s *slowCapSource) CaptureState(snapshot.CaptureMode) (snapshot.Capture, er
 		enc.PutInt64(pos)
 		return nil
 	}}, nil
-}
-
-// SaveState implements snapshot.Stater.
-func (s *slowCapSource) SaveState(enc *snapshot.Encoder) error {
-	return snapshot.EncodeCapture(s, enc)
 }
 
 // TestEncodeRunsOffTheBarrier: while a checkpoint's phase-2 encoding is
@@ -235,10 +225,11 @@ func TestEncodeRunsOffTheBarrier(t *testing.T) {
 	src.waitPos(t, 1000)
 
 	chain := snapshot.NewChain(snapshot.NewMemory())
-	epoch, err := g.CheckpointInto(chain, snapshot.CaptureFull)
+	c, err := g.trigger(0, snapshot.CaptureFull, chain)
 	if err != nil {
 		t.Fatal(err)
 	}
+	epoch := c.epoch
 	select {
 	case <-src.encodeStarted:
 	case <-time.After(10 * time.Second):
@@ -253,10 +244,11 @@ func TestEncodeRunsOffTheBarrier(t *testing.T) {
 	}
 	// A delta triggered while its parent is still encoding must chain to
 	// that parent — the capture baseline — not to the last finished epoch.
-	epoch2, err := g.CheckpointInto(chain, snapshot.CaptureDelta)
+	c2, err := g.trigger(0, snapshot.CaptureDelta, chain)
 	if err != nil {
 		t.Fatal(err)
 	}
+	epoch2 := c2.epoch
 	close(src.release)
 	g.WaitCheckpoints()
 	st, ok := g.CheckpointStatus(epoch)
@@ -304,7 +296,7 @@ func TestIncrementalUpgradesAfterCancel(t *testing.T) {
 
 	// Baseline full checkpoint while both sources can cut.
 	ctx := context.Background()
-	if _, err := g.Checkpoint(ctx); err != nil {
+	if _, err := g.Checkpoint(ctx, snapshot.CaptureFull); err != nil {
 		t.Fatal(err)
 	}
 	// Park the second source inside Next so it can never cut, then let an
@@ -317,12 +309,12 @@ func TestIncrementalUpgradesAfterCancel(t *testing.T) {
 	src.limit.Store(1000)
 	ctx2, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
 	defer cancel()
-	if _, err := g.CheckpointIncremental(ctx2); err == nil {
+	if _, err := g.Checkpoint(ctx2, snapshot.CaptureDelta); err == nil {
 		t.Fatal("checkpoint with a stuck source did not cancel")
 	}
 	close(stuck.hold)
 
-	snap, err := g.CheckpointIncremental(ctx)
+	snap, err := g.Checkpoint(ctx, snapshot.CaptureDelta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +322,7 @@ func TestIncrementalUpgradesAfterCancel(t *testing.T) {
 		t.Fatalf("post-cancel incremental checkpoint is a delta (base %d)", snap.Base)
 	}
 	// And the next one is a delta again.
-	snap2, err := g.CheckpointIncremental(ctx)
+	snap2, err := g.Checkpoint(ctx, snapshot.CaptureDelta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,8 +333,8 @@ func TestIncrementalUpgradesAfterCancel(t *testing.T) {
 	<-runErr
 }
 
-// TestAbandonedChainlessCheckpointBreaksLineage: a blocking
-// CheckpointIncremental whose caller gives up after the capture phase has
+// TestAbandonedChainlessCheckpointBreaksLineage: a blocking delta
+// Checkpoint whose caller gives up after the capture phase has
 // completed loses the assembled snapshot (nobody else holds it), so the
 // next incremental checkpoint must upgrade to full instead of chaining to
 // the epoch the caller never received.
@@ -363,21 +355,21 @@ func TestAbandonedChainlessCheckpointBreaksLineage(t *testing.T) {
 	src.waitPos(t, 500)
 
 	src.release <- struct{}{}
-	if _, err := g.Checkpoint(context.Background()); err != nil {
+	if _, err := g.Checkpoint(context.Background(), snapshot.CaptureFull); err != nil {
 		t.Fatal(err)
 	}
 	// Delta whose encode never gets a token before the caller times out:
 	// captures complete, the finisher hangs, the caller abandons.
 	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
 	defer cancel()
-	if _, err := g.CheckpointIncremental(ctx); err == nil {
+	if _, err := g.Checkpoint(ctx, snapshot.CaptureDelta); err == nil {
 		t.Fatal("blocked encode did not time out")
 	}
 	src.release <- struct{}{}
 	g.WaitCheckpoints()
 
 	src.release <- struct{}{}
-	snap, err := g.CheckpointIncremental(context.Background())
+	snap, err := g.Checkpoint(context.Background(), snapshot.CaptureDelta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,8 +407,10 @@ func (s *stuckSource) Next(Context) (bool, error) {
 	return true, nil
 }
 
-// SaveState implements snapshot.Stater.
-func (s *stuckSource) SaveState(enc *snapshot.Encoder) error { return nil }
+// CaptureState implements snapshot.Stater.
+func (s *stuckSource) CaptureState(snapshot.CaptureMode) (snapshot.Capture, error) {
+	return snapshot.Capture{}, nil
+}
 
 // LoadState implements snapshot.Stater.
 func (s *stuckSource) LoadState(dec *snapshot.Decoder) error { return nil }
@@ -447,7 +441,7 @@ func TestReaderSourceReplayFromOffset(t *testing.T) {
 		id := g.AddSource(src)
 		g.Add(sink, From(id))
 		if restoreFrom != nil {
-			if err := g.RestoreSnapshot(restoreFrom); err != nil {
+			if err := g.RestoreChain([]*snapshot.Snapshot{restoreFrom}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -474,7 +468,7 @@ func TestReaderSourceReplayFromOffset(t *testing.T) {
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
-	snap, err := g1.Checkpoint(context.Background())
+	snap, err := g1.Checkpoint(context.Background(), snapshot.CaptureFull)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -52,7 +53,7 @@ func (g *Graph) Run() error {
 		go func(n *node) {
 			defer wg.Done()
 			r := &nodeRunner{node: n, graph: g, done: done}
-			err := r.run()
+			err := r.runContained()
 			if err != nil {
 				fail(fmt.Errorf("exec: node %q: %w", n.name(), err))
 			}
@@ -156,6 +157,20 @@ type alignState struct {
 	epoch    int64
 	got      []bool
 	deferred [][]queue.Item
+}
+
+// runContained is run with a panic from the node's operator or source
+// callbacks turned into the node's error, carrying the node id, the panic
+// value and the panicking goroutine's stack. run's deferred cleanup has
+// already closed the node's outputs by then, so the rest of the plan shuts
+// down as on any node error.
+func (r *nodeRunner) runContained() (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("panic in node id %d: %v\n%s", r.node.id, p, debug.Stack())
+		}
+	}()
+	return r.run()
 }
 
 func (r *nodeRunner) run() error {

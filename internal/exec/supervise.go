@@ -92,7 +92,7 @@ func (g *Graph) checkpointLoop(chain *snapshot.Chain, p CheckpointPolicy, cycle 
 			if p.FullEvery <= 1 || count%p.FullEvery == 0 {
 				mode = snapshot.CaptureFull
 			}
-			c, err := g.triggerCheckpoint(mode, chain)
+			c, err := g.trigger(0, mode, chain)
 			if err != nil {
 				continue
 			}

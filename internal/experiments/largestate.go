@@ -20,7 +20,7 @@ import (
 // open (window, group) accumulators; between checkpoints the driver
 // touches a fixed number of groups, so a delta capture is O(touch) while a
 // full serialization is O(groups). BenchmarkBarrierHold/Checkpoint-
-// LargeState in bench_test.go (and cmd/benchall) drive this harness.
+// LargeState in bench_test.go drive this harness.
 
 // stepSchema is the benchmark stream: (k, ts, v).
 var stepSchema = stream.MustSchema(
@@ -113,15 +113,7 @@ func (lb *LargeStateBench) Touch(n int) { lb.src.limit.Add(int64(n)) }
 // Checkpoint takes one checkpoint in the given mode and returns its
 // status (BarrierHold is the hot-path stall; Encode the background cost).
 func (lb *LargeStateBench) Checkpoint(ctx context.Context, mode snapshot.CaptureMode) (exec.CheckpointStatus, error) {
-	var (
-		snap *snapshot.Snapshot
-		err  error
-	)
-	if mode == snapshot.CaptureDelta {
-		snap, err = lb.g.CheckpointIncremental(ctx)
-	} else {
-		snap, err = lb.g.Checkpoint(ctx)
-	}
+	snap, err := lb.g.Checkpoint(ctx, mode)
 	if err != nil {
 		return exec.CheckpointStatus{}, err
 	}

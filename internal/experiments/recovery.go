@@ -19,9 +19,8 @@ import (
 )
 
 // Recovery benchmarks: checkpoint overhead and recovery time on the same
-// partitioned-aggregate plan the scaling benchmarks use, shared by
-// bench_test.go and cmd/benchall so BENCH_pipeline.json records exactly
-// the workload the go-test benchmarks report.
+// partitioned-aggregate plan the scaling benchmarks use, driven by
+// BenchmarkCheckpoint and BenchmarkRecovery in bench_test.go.
 
 // gatedTrafficSource replays ParallelTrafficItems, parking (live, not
 // blocked) at gateAt until the gate opens, so a checkpoint can be taken
@@ -68,10 +67,13 @@ func (s *gatedTrafficSource) Next(ctx exec.Context) (bool, error) {
 	return true, nil
 }
 
-// SaveState implements snapshot.Stater.
-func (s *gatedTrafficSource) SaveState(enc *snapshot.Encoder) error {
-	enc.PutInt64(s.pos.Load())
-	return nil
+// CaptureState implements snapshot.Stater: the replay position.
+func (s *gatedTrafficSource) CaptureState(snapshot.CaptureMode) (snapshot.Capture, error) {
+	pos := s.pos.Load()
+	return snapshot.Capture{Encode: func(enc *snapshot.Encoder) error {
+		enc.PutInt64(pos)
+		return nil
+	}}, nil
 }
 
 // LoadState implements snapshot.Stater.
@@ -134,7 +136,7 @@ func StartRecoveryBench(parts, tuples, cost int) (*RecoveryBench, error) {
 
 // Checkpoint takes one snapshot of the running plan.
 func (rb *RecoveryBench) Checkpoint(ctx context.Context) (*snapshot.Snapshot, error) {
-	return rb.b.Graph().Checkpoint(ctx)
+	return rb.b.Graph().Checkpoint(ctx, snapshot.CaptureFull)
 }
 
 // Stop kills the plan (the crash half of crash-and-recover).
@@ -154,7 +156,7 @@ func (rb *RecoveryBench) Recover(snap *snapshot.Snapshot) error {
 	src := &gatedTrafficSource{items: rb.items, gateAt: len(rb.items) * 9 / 10}
 	src.gate.Store(true)
 	b := buildRecoveryPlan(src, rb.Parts, rb.Cost)
-	if err := b.Graph().RestoreSnapshot(snap); err != nil {
+	if err := b.Graph().RestoreChain([]*snapshot.Snapshot{snap}); err != nil {
 		return err
 	}
 	return b.Run()

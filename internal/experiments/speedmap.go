@@ -195,6 +195,48 @@ func (v *viewer) announce(period int64, ctx exec.Context) {
 	v.mu.Unlock()
 }
 
+// pacedTraffic is Experiment 2's source: the traffic stream, held at each
+// viewing-period boundary until the aggregate has taken in the viewer's
+// feedback for that period. The paper's sensors report in real time, so
+// feedback announced a window ahead always reaches the aggregate before
+// the period's readings exist. This harness generates stream time as fast
+// as the CPU allows, and under CPU contention the feedback's trip upstream
+// (a consumer goroutine, then the producer's control forwarder, each
+// waiting for a scheduler slot) took tens of milliseconds, long enough for
+// the data path to close the period's windows first: the result count then
+// measured goroutine scheduling, not the scheme.
+type pacedTraffic struct {
+	*gen.TrafficSource
+	segments int64        // Next calls per detector round
+	roundUS  int64        // stream micros per detector round
+	switchUS int64        // stream micros per viewing period
+	heard    func() int64 // viewer feedback the aggregate has taken in
+	calls    int64
+}
+
+// Next implements exec.Source. The viewer announces periods 1, 2, ... one
+// feedback each, so period p's readings wait until p feedbacks arrived.
+func (s *pacedTraffic) Next(ctx exec.Context) (bool, error) {
+	period := s.calls / s.segments * s.roundUS / s.switchUS
+	if period > 0 && s.heard() < period {
+		// Parked: stay responsive to control and shutdown.
+		time.Sleep(50 * time.Microsecond)
+		return true, nil
+	}
+	s.calls++
+	return s.TrafficSource.Next(ctx)
+}
+
+// feedbackReceived returns the operator's received-feedback counter.
+func feedbackReceived(ve telemetry.VarExporter) func() int64 {
+	for _, v := range ve.TelemetryVars() {
+		if v.Name == "pace_op_feedback_received_total" {
+			return v.Value
+		}
+	}
+	panic("experiments: operator exports no received-feedback counter")
+}
+
 // RunSpeedmap executes the Figure 4(b) plan — σQ → AVERAGE → viewer — under
 // the given scheme and reports its execution time.
 func RunSpeedmap(cfg SpeedmapConfig) (SpeedmapResult, error) {
@@ -249,8 +291,17 @@ func RunSpeedmap(cfg SpeedmapConfig) (SpeedmapResult, error) {
 		segments: int64(cfg.Segments),
 	}
 
+	// F0's viewer announces nothing, so only F1–F3 pace the source.
+	var source exec.Source = src
+	if cfg.Scheme != F0 {
+		source = &pacedTraffic{
+			TrafficSource: src, segments: int64(cfg.Segments), roundUS: period20s,
+			switchUS: view.switchUS, heard: feedbackReceived(avg),
+		}
+	}
+
 	g := exec.NewGraph()
-	s := g.AddSource(src)
+	s := g.AddSource(source)
 	q := g.Add(quality, exec.From(s))
 	a := g.Add(avg, exec.From(q))
 	g.Add(view, exec.From(a))

@@ -42,7 +42,7 @@ type Prefixed struct {
 }
 
 // NewPrefixed wraps inner with kernels (one slot per input port, nil slots
-// allowed). The inner operator must be a snapshot.TwoPhase — every absorb
+// allowed). The inner operator must be a snapshot.Stater — every absorb
 // target (Aggregate, Join, Impute, Pace, Split) is — so checkpoint identity
 // is preserved by delegation; each kernel's output schema must match the
 // inner input it feeds.
@@ -50,8 +50,8 @@ func NewPrefixed(inner exec.Operator, kernels []*Fused) (*Prefixed, error) {
 	if inner == nil {
 		return nil, fmt.Errorf("fuse: prefix around nil operator")
 	}
-	if _, ok := inner.(snapshot.TwoPhase); !ok {
-		return nil, fmt.Errorf("fuse: prefix target %q is not a snapshot.TwoPhase stateful operator", inner.Name())
+	if _, ok := inner.(snapshot.Stater); !ok {
+		return nil, fmt.Errorf("fuse: prefix target %q is not a snapshot.Stater stateful operator", inner.Name())
 	}
 	ins := inner.InSchemas()
 	if len(kernels) != len(ins) {
@@ -216,22 +216,17 @@ func (p *Prefixed) Close(ctx exec.Context) error {
 	return p.inner.Close(p.wrap(ctx))
 }
 
-// SaveState implements snapshot.Stater by delegation: the prefix is
+// CaptureState implements snapshot.Stater by delegation: the prefix is
 // stateless (guard tables rebuild from feedback, like every guarded
 // operator), so the node's checkpoint payload is exactly the inner
 // operator's.
-func (p *Prefixed) SaveState(e *snapshot.Encoder) error {
-	return p.inner.(snapshot.Stater).SaveState(e)
+func (p *Prefixed) CaptureState(mode snapshot.CaptureMode) (snapshot.Capture, error) {
+	return p.inner.(snapshot.Stater).CaptureState(mode)
 }
 
 // LoadState implements snapshot.Stater by delegation.
 func (p *Prefixed) LoadState(d *snapshot.Decoder) error {
 	return p.inner.(snapshot.Stater).LoadState(d)
-}
-
-// CaptureState implements snapshot.TwoPhase by delegation.
-func (p *Prefixed) CaptureState(mode snapshot.CaptureMode) (snapshot.Capture, error) {
-	return p.inner.(snapshot.TwoPhase).CaptureState(mode)
 }
 
 // ApplyDelta implements snapshot.DeltaStater by delegation. Inner operators

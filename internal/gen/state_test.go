@@ -76,7 +76,7 @@ func runWithMidCheckpoint(t *testing.T, src1, src2 exec.Source, minItems int64) 
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
-	snap, err := g1.Checkpoint(t.Context())
+	snap, err := g1.Checkpoint(t.Context(), snapshot.CaptureFull)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func runWithMidCheckpoint(t *testing.T, src1, src2 exec.Source, minItems int64) 
 	g2 := exec.NewGraph()
 	id2 := g2.AddSource(src2)
 	g2.Add(sink2, exec.From(id2))
-	if err := g2.RestoreSnapshot(snap); err != nil {
+	if err := g2.RestoreChain([]*snapshot.Snapshot{snap}); err != nil {
 		t.Fatal(err)
 	}
 	if err := g2.Run(); err != nil {

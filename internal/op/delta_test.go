@@ -28,7 +28,7 @@ func encodeCap(t *testing.T, c snapshot.Capture) []byte {
 func fullBlob(t *testing.T, st snapshot.Stater) []byte {
 	t.Helper()
 	enc := snapshot.NewEncoder()
-	if err := st.SaveState(enc); err != nil {
+	if err := snapshot.EncodeCapture(st, enc); err != nil {
 		t.Fatal(err)
 	}
 	blob, err := enc.Bytes()

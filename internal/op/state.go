@@ -33,9 +33,8 @@ func errInputCountChanged(kind, name string, got, want int) error {
 // CaptureDelta with O(changes) views; the other operators' state is O(1)-ish
 // in the stream, so they always capture fully.
 //
-// The state blob formats of full captures are unchanged from the one-phase
-// implementation, so LoadState is shared; delta blobs have their own format
-// consumed by ApplyDelta.
+// Full captures are read back by LoadState; delta blobs have their own
+// format consumed by ApplyDelta.
 //
 // Restore additionally honors the paper's state-purging argument at
 // recovery time: any state entry covered by an assumed-feedback guard in
@@ -55,14 +54,14 @@ func errInputCountChanged(kind, name string, got, want int) error {
 const DefaultMaxChangelog = 1 << 16
 
 var (
-	_ snapshot.TwoPhase    = (*Aggregate)(nil)
-	_ snapshot.TwoPhase    = (*Join)(nil)
-	_ snapshot.TwoPhase    = (*Impute)(nil)
-	_ snapshot.TwoPhase    = (*Pace)(nil)
-	_ snapshot.TwoPhase    = (*Merge)(nil)
-	_ snapshot.TwoPhase    = (*Split)(nil)
-	_ snapshot.TwoPhase    = (*Duplicate)(nil)
-	_ snapshot.TwoPhase    = (*Prioritize)(nil)
+	_ snapshot.Stater      = (*Aggregate)(nil)
+	_ snapshot.Stater      = (*Join)(nil)
+	_ snapshot.Stater      = (*Impute)(nil)
+	_ snapshot.Stater      = (*Pace)(nil)
+	_ snapshot.Stater      = (*Merge)(nil)
+	_ snapshot.Stater      = (*Split)(nil)
+	_ snapshot.Stater      = (*Duplicate)(nil)
+	_ snapshot.Stater      = (*Prioritize)(nil)
 	_ snapshot.DeltaStater = (*Aggregate)(nil)
 	_ snapshot.DeltaStater = (*Join)(nil)
 )
@@ -92,7 +91,7 @@ type aggCapEntry struct {
 	g   aggGroup
 }
 
-// CaptureState implements snapshot.TwoPhase.
+// CaptureState implements snapshot.Stater.
 func (a *Aggregate) CaptureState(mode snapshot.CaptureMode) (snapshot.Capture, error) {
 	delta := mode == snapshot.CaptureDelta && a.chlogDirty != nil
 	var entries []aggCapEntry
@@ -153,11 +152,6 @@ func (a *Aggregate) CaptureState(mode snapshot.CaptureMode) (snapshot.Capture, e
 			return nil
 		},
 	}, nil
-}
-
-// SaveState implements snapshot.Stater (one-shot capture + encode).
-func (a *Aggregate) SaveState(enc *snapshot.Encoder) error {
-	return snapshot.EncodeCapture(a, enc)
 }
 
 func (a *Aggregate) decodeGroup(dec *snapshot.Decoder) (string, *aggGroup) {
@@ -284,7 +278,7 @@ type joinCap struct {
 	counters            [7]int64
 }
 
-// CaptureState implements snapshot.TwoPhase.
+// CaptureState implements snapshot.Stater.
 func (j *Join) CaptureState(mode snapshot.CaptureMode) (snapshot.Capture, error) {
 	v := &joinCap{delta: mode == snapshot.CaptureDelta && j.chlogDirty[0] != nil}
 	for side := 0; side < 2; side++ {
@@ -405,11 +399,6 @@ func (v *joinCap) encodeAux(enc *snapshot.Encoder) {
 	for _, c := range v.counters {
 		enc.PutInt64(c)
 	}
-}
-
-// SaveState implements snapshot.Stater.
-func (j *Join) SaveState(enc *snapshot.Encoder) error {
-	return snapshot.EncodeCapture(j, enc)
 }
 
 // loadAux reads the shared tail (see joinCap.encodeAux).
@@ -547,7 +536,7 @@ func (j *Join) ApplyDelta(dec *snapshot.Decoder) error {
 // Impute.
 // ---------------------------------------------------------------------------
 
-// CaptureState implements snapshot.TwoPhase: the guard table is the whole
+// CaptureState implements snapshot.Stater: the guard table is the whole
 // point — losing it on crash would re-expose the archive to lookups the
 // feedback already disclaimed. The state is O(guards), so capture is
 // always full.
@@ -561,11 +550,6 @@ func (im *Impute) CaptureState(snapshot.CaptureMode) (snapshot.Capture, error) {
 		enc.PutInt64(passed)
 		return nil
 	}}, nil
-}
-
-// SaveState implements snapshot.Stater.
-func (im *Impute) SaveState(enc *snapshot.Encoder) error {
-	return snapshot.EncodeCapture(im, enc)
 }
 
 // LoadState implements snapshot.Stater.
@@ -593,7 +577,7 @@ type paceCap struct {
 	perIn       []PaceInputStats
 }
 
-// CaptureState implements snapshot.TwoPhase: the high watermark and
+// CaptureState implements snapshot.Stater: the high watermark and
 // feedback cutoff are what make a restored PACE keep its promises — a
 // fresh one would re-admit tuples the old instance's feedback already
 // disclaimed.
@@ -624,11 +608,6 @@ func (p *Pace) CaptureState(snapshot.CaptureMode) (snapshot.Capture, error) {
 		}
 		return nil
 	}}, nil
-}
-
-// SaveState implements snapshot.Stater.
-func (p *Pace) SaveState(enc *snapshot.Encoder) error {
-	return snapshot.EncodeCapture(p, enc)
 }
 
 // LoadState implements snapshot.Stater.
@@ -680,7 +659,7 @@ type mergeCap struct {
 	counters [4]int64
 }
 
-// CaptureState implements snapshot.TwoPhase: the alignment state —
+// CaptureState implements snapshot.Stater: the alignment state —
 // per-input frontiers, asserted patterns, the pending list, and the
 // already-emitted merged frontier — must survive recovery, otherwise a
 // restored merge could re-emit punctuation it already promised (downstream
@@ -734,11 +713,6 @@ func (m *Merge) CaptureState(snapshot.CaptureMode) (snapshot.Capture, error) {
 		}
 		return nil
 	}}, nil
-}
-
-// SaveState implements snapshot.Stater.
-func (m *Merge) SaveState(enc *snapshot.Encoder) error {
-	return snapshot.EncodeCapture(m, enc)
 }
 
 // LoadState implements snapshot.Stater.
@@ -795,7 +769,7 @@ type splitCap struct {
 	outPer       []int64
 }
 
-// CaptureState implements snapshot.TwoPhase: per-partition guards
+// CaptureState implements snapshot.Stater: per-partition guards
 // (feedback each partition has asserted), the already-relayed set, and the
 // round-robin cursor — the cursor matters for keyless splits, where a
 // restored run must continue the same routing sequence to stay canonically
@@ -832,11 +806,6 @@ func (s *Split) CaptureState(snapshot.CaptureMode) (snapshot.Capture, error) {
 		}
 		return nil
 	}}, nil
-}
-
-// SaveState implements snapshot.Stater.
-func (s *Split) SaveState(enc *snapshot.Encoder) error {
-	return snapshot.EncodeCapture(s, enc)
 }
 
 // LoadState implements snapshot.Stater.
@@ -877,7 +846,7 @@ type dupCap struct {
 	counters   [3]int64
 }
 
-// CaptureState implements snapshot.TwoPhase. Found by the staterstate
+// CaptureState implements snapshot.Stater. Found by the staterstate
 // analyzer: Duplicate accumulated per-consumer guard tables and the
 // already-relayed pattern set with no Stater, so a restored instance
 // forgot every assertion its consumers had made — it stopped exploiting
@@ -907,11 +876,6 @@ func (d *Duplicate) CaptureState(snapshot.CaptureMode) (snapshot.Capture, error)
 		}
 		return nil
 	}}, nil
-}
-
-// SaveState implements snapshot.Stater.
-func (d *Duplicate) SaveState(enc *snapshot.Encoder) error {
-	return snapshot.EncodeCapture(d, enc)
 }
 
 // LoadState implements snapshot.Stater.
@@ -949,7 +913,7 @@ type prioCap struct {
 	counters [4]int64
 }
 
-// CaptureState implements snapshot.TwoPhase. Found by the staterstate
+// CaptureState implements snapshot.Stater. Found by the staterstate
 // analyzer: the reorder buffer holds tuples already consumed from
 // upstream but not yet emitted, so unlike the engine's genuinely
 // stateless pass-throughs a restore without it drops rows from the
@@ -978,11 +942,6 @@ func (p *Prioritize) CaptureState(snapshot.CaptureMode) (snapshot.Capture, error
 		}
 		return nil
 	}}, nil
-}
-
-// SaveState implements snapshot.Stater.
-func (p *Prioritize) SaveState(enc *snapshot.Encoder) error {
-	return snapshot.EncodeCapture(p, enc)
 }
 
 // LoadState implements snapshot.Stater.

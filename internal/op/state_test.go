@@ -11,12 +11,12 @@ import (
 )
 
 // saveLoad round-trips an operator's state through the snapshot codec into
-// a freshly opened twin. It mimics the runtime sequence exactly: SaveState
+// a freshly opened twin. It mimics the runtime sequence exactly: a capture
 // on the live operator, Open on the twin, then LoadState.
 func saveLoad(t *testing.T, from, to snapshot.Stater, openTo func() error) {
 	t.Helper()
 	enc := snapshot.NewEncoder()
-	if err := from.SaveState(enc); err != nil {
+	if err := snapshot.EncodeCapture(from, enc); err != nil {
 		t.Fatalf("save: %v", err)
 	}
 	blob, err := enc.Bytes()
@@ -333,7 +333,7 @@ func TestStateRoundTripRejectsFanChange(t *testing.T) {
 		t.Fatal(h1.Err())
 	}
 	enc := snapshot.NewEncoder()
-	if err := m1.SaveState(enc); err != nil {
+	if err := snapshot.EncodeCapture(m1, enc); err != nil {
 		t.Fatal(err)
 	}
 	blob, _ := enc.Bytes()

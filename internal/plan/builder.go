@@ -130,36 +130,19 @@ func (b *Builder) Run() error {
 	return b.g.Run()
 }
 
-// Restore stages a checkpoint (taken by Graph.Checkpoint on an identically
-// built plan) so Run resumes from the cut. Build the full plan first —
-// restore validation compares the snapshot against every node.
-func (b *Builder) Restore(backend snapshot.Backend, id string) error {
-	if err := b.Err(); err != nil {
-		return err
-	}
-	return b.g.Restore(backend, id)
-}
-
-// RestoreLatest stages the newest restorable epoch of a checkpoint chain
-// (base + incremental deltas); ok is false on an empty chain, so cold
-// starts and recoveries share one call site. Build the full plan first.
-func (b *Builder) RestoreLatest(chain *snapshot.Chain) (ok bool, err error) {
-	if err := b.Err(); err != nil {
-		return false, err
-	}
-	return b.g.RestoreLatest(chain)
-}
-
-// RestoreLatestIntact is RestoreLatest with graceful degradation: epochs
-// whose stored lineage is corrupt (snapshot.ErrCorruptSnapshot) are
-// skipped — and reported — in favor of the newest older epoch that decodes
-// cleanly, and the corrupt tail is truncated so the resumed run re-records
-// those epochs. ok is false on an empty or fully corrupt chain.
-func (b *Builder) RestoreLatestIntact(chain *snapshot.Chain) (ok bool, skipped []snapshot.Fallback, err error) {
+// RestoreLatest stages the newest intact epoch of a checkpoint chain
+// (base + incremental deltas) so Run resumes from the cut: epochs whose
+// stored lineage is corrupt (snapshot.ErrCorruptSnapshot) are skipped — and
+// reported — in favor of the newest older epoch that decodes cleanly, and
+// the corrupt tail is truncated so the resumed run re-records those epochs.
+// ok is false on an empty or fully corrupt chain, so cold starts and
+// recoveries share one call site. Build the full plan first — restore
+// validation compares the snapshot against every node.
+func (b *Builder) RestoreLatest(chain *snapshot.Chain) (ok bool, skipped []snapshot.Fallback, err error) {
 	if err := b.Err(); err != nil {
 		return false, nil, err
 	}
-	return b.g.RestoreLatestIntact(chain)
+	return b.g.RestoreLatest(chain)
 }
 
 // RunCheckpointed validates and executes the plan under periodic

@@ -222,7 +222,7 @@ func TestFusedCheckpointRecoverIdentity(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	snap, err := b1.Graph().Checkpoint(ctx)
+	snap, err := b1.Graph().Checkpoint(ctx, snapshot.CaptureFull)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,13 +232,13 @@ func TestFusedCheckpointRecoverIdentity(t *testing.T) {
 	}
 
 	// Restore into an identically compiled plan and finish.
-	backend := snapshot.NewMemory()
-	if err := snap.Save(backend, "mid-stream"); err != nil {
+	chain := snapshot.NewChain(snapshot.NewMemory())
+	if _, err := chain.Put(snap); err != nil {
 		t.Fatal(err)
 	}
 	b2, _, sink2 := build(true, true)
-	if err := b2.Graph().Restore(backend, "mid-stream"); err != nil {
-		t.Fatal(err)
+	if ok, _, err := b2.RestoreLatest(chain); err != nil || !ok {
+		t.Fatalf("RestoreLatest: ok=%v err=%v", ok, err)
 	}
 	if err := b2.Run(); err != nil {
 		t.Fatal(err)

@@ -62,10 +62,13 @@ func (s *gatedItems) Next(ctx exec.Context) (bool, error) {
 	return true, nil
 }
 
-// SaveState implements snapshot.Stater.
-func (s *gatedItems) SaveState(enc *snapshot.Encoder) error {
-	enc.PutInt64(s.pos.Load())
-	return nil
+// CaptureState implements snapshot.Stater.
+func (s *gatedItems) CaptureState(snapshot.CaptureMode) (snapshot.Capture, error) {
+	pos := s.pos.Load()
+	return snapshot.Capture{Encode: func(enc *snapshot.Encoder) error {
+		enc.PutInt64(pos)
+		return nil
+	}}, nil
 }
 
 // LoadState implements snapshot.Stater.
@@ -125,7 +128,7 @@ func TestParallelCheckpointRecoverIdentity(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	snap, err := b1.Graph().Checkpoint(ctx)
+	snap, err := b1.Graph().Checkpoint(ctx, snapshot.CaptureFull)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,13 +138,13 @@ func TestParallelCheckpointRecoverIdentity(t *testing.T) {
 	}
 
 	// Recover through a backend into an identically rebuilt plan.
-	backend := snapshot.NewMemory()
-	if err := snap.Save(backend, "mid-stream"); err != nil {
+	chain := snapshot.NewChain(snapshot.NewMemory())
+	if _, err := chain.Put(snap); err != nil {
 		t.Fatal(err)
 	}
 	b2, _, sink2 := build(true)
-	if err := b2.Graph().Restore(backend, "mid-stream"); err != nil {
-		t.Fatal(err)
+	if ok, _, err := b2.RestoreLatest(chain); err != nil || !ok {
+		t.Fatalf("RestoreLatest: ok=%v err=%v", ok, err)
 	}
 	if err := b2.Run(); err != nil {
 		t.Fatal(err)
@@ -196,13 +199,17 @@ func (s *feedSource) ProcessFeedback(_ int, f core.Feedback, _ exec.Context) err
 	return nil
 }
 
-// SaveState implements snapshot.Stater.
-func (s *feedSource) SaveState(enc *snapshot.Encoder) error {
-	enc.PutInt64(s.i)
-	enc.PutInt64(s.ts)
-	enc.PutInt64(s.skipped.Load())
-	snapshot.PutGuards(enc, s.guards)
-	return nil
+// CaptureState implements snapshot.Stater.
+func (s *feedSource) CaptureState(snapshot.CaptureMode) (snapshot.Capture, error) {
+	i, ts, skipped := s.i, s.ts, s.skipped.Load()
+	guards := snapshot.GuardsView(s.guards)
+	return snapshot.Capture{Encode: func(enc *snapshot.Encoder) error {
+		enc.PutInt64(i)
+		enc.PutInt64(ts)
+		enc.PutInt64(skipped)
+		snapshot.PutGuardsView(enc, guards)
+		return nil
+	}}, nil
 }
 
 // LoadState implements snapshot.Stater.
@@ -250,11 +257,14 @@ func (d *feedSink) ProcessTuple(_ int, t stream.Tuple, ctx exec.Context) error {
 	return nil
 }
 
-// SaveState implements snapshot.Stater.
-func (d *feedSink) SaveState(enc *snapshot.Encoder) error {
-	enc.PutInt64(d.seen)
-	enc.PutBool(d.sent)
-	return nil
+// CaptureState implements snapshot.Stater.
+func (d *feedSink) CaptureState(snapshot.CaptureMode) (snapshot.Capture, error) {
+	seen, sent := d.seen, d.sent
+	return snapshot.Capture{Encode: func(enc *snapshot.Encoder) error {
+		enc.PutInt64(seen)
+		enc.PutBool(sent)
+		return nil
+	}}, nil
 }
 
 // LoadState implements snapshot.Stater.
@@ -294,7 +304,7 @@ func TestParallelCheckpointPreservesFeedbackState(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	snap, err := b1.Graph().Checkpoint(ctx)
+	snap, err := b1.Graph().Checkpoint(ctx, snapshot.CaptureFull)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +315,7 @@ func TestParallelCheckpointPreservesFeedbackState(t *testing.T) {
 
 	// Phase 2: recover and run a bounded slice of the stream.
 	b2, src2, sink2 := build(30_000)
-	if err := b2.Graph().RestoreSnapshot(snap); err != nil {
+	if err := b2.Graph().RestoreChain([]*snapshot.Snapshot{snap}); err != nil {
 		t.Fatal(err)
 	}
 	skippedAtCut := src1.skipped.Load()
@@ -324,8 +334,8 @@ func TestParallelCheckpointPreservesFeedbackState(t *testing.T) {
 	}
 }
 
-// TestBuilderRestoreConvenience covers Builder.Restore delegating to the
-// underlying graph.
+// TestBuilderRestoreConvenience covers Builder.RestoreLatest delegating to
+// the underlying graph.
 func TestBuilderRestoreConvenience(t *testing.T) {
 	backend := snapshot.NewMemory()
 	// A minimal finished-plan snapshot.
@@ -336,10 +346,10 @@ func TestBuilderRestoreConvenience(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = sink
-	// Restoring an unknown id surfaces the backend error.
+	// Restoring from a chain with no epochs is a cold start.
 	b2 := New()
 	b2.Source(testSource("s", reading(1, 10, 40))).Collect("sink")
-	if err := b2.Restore(backend, "missing"); err == nil {
-		t.Fatal("unknown snapshot id accepted")
+	if ok, _, err := b2.RestoreLatest(snapshot.NewChain(backend)); err != nil || ok {
+		t.Fatalf("empty chain restored: ok=%v err=%v", ok, err)
 	}
 }

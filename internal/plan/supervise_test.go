@@ -51,18 +51,13 @@ func (s *pacedItems) Next(ctx exec.Context) (bool, error) {
 	return true, nil
 }
 
-// CaptureState implements snapshot.TwoPhase.
+// CaptureState implements snapshot.Stater.
 func (s *pacedItems) CaptureState(snapshot.CaptureMode) (snapshot.Capture, error) {
 	pos := s.pos.Load()
 	return snapshot.Capture{Encode: func(enc *snapshot.Encoder) error {
 		enc.PutInt64(pos)
 		return nil
 	}}, nil
-}
-
-// SaveState implements snapshot.Stater.
-func (s *pacedItems) SaveState(enc *snapshot.Encoder) error {
-	return snapshot.EncodeCapture(s, enc)
 }
 
 // LoadState implements snapshot.Stater.
@@ -157,7 +152,7 @@ func TestCheckpointUnderLoadKillRestore(t *testing.T) {
 
 	// Recover from the latest epoch and run the rest of the stream.
 	b2, _, sink2 := build()
-	ok, err := b2.RestoreLatest(chain)
+	ok, _, err := b2.RestoreLatest(chain)
 	if err != nil || !ok {
 		t.Fatalf("RestoreLatest: ok=%v err=%v", ok, err)
 	}

@@ -106,7 +106,7 @@ func TestBarrierCrossesWire(t *testing.T) {
 	src.awaitGate(t)
 
 	ctx := context.Background()
-	snap1, err := gp.Checkpoint(ctx)
+	snap1, err := gp.Checkpoint(ctx, snapshot.CaptureFull)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestBarrierCrossesWire(t *testing.T) {
 		t.Errorf("barrier arrived after %d tuples, producer cut at %d", b1.received, gateAt)
 	}
 
-	snap2, err := gp.CheckpointIncremental(ctx)
+	snap2, err := gp.Checkpoint(ctx, snapshot.CaptureDelta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestBarrierDroppedWithoutHook(t *testing.T) {
 	go func() { defer wg.Done(); errP = gp.Run() }()
 	go func() { defer wg.Done(); errC = gc.Run() }()
 	src.awaitGate(t)
-	if _, err := gp.Checkpoint(context.Background()); err != nil {
+	if _, err := gp.Checkpoint(context.Background(), snapshot.CaptureFull); err != nil {
 		t.Fatal(err)
 	}
 	src.gate.Store(true)

@@ -222,6 +222,15 @@ func (c *Chain) ChainFor(epoch int64) ([]*Snapshot, error) {
 	return c.chainForLocked(epoch)
 }
 
+// load retrieves and parses the snapshot stored under id.
+func (c *Chain) load(id string) (*Snapshot, error) {
+	data, err := c.b.Get(id)
+	if err != nil {
+		return nil, err
+	}
+	return Decode(data)
+}
+
 func (c *Chain) chainForLocked(epoch int64) ([]*Snapshot, error) {
 	es, err := c.entries()
 	if err != nil {
@@ -233,7 +242,7 @@ func (c *Chain) chainForLocked(epoch int64) ([]*Snapshot, error) {
 	}
 	snaps := make([]*Snapshot, len(order))
 	for i, e := range order {
-		s, err := Load(c.b, e.id)
+		s, err := c.load(e.id)
 		if err != nil {
 			return nil, err
 		}
@@ -438,7 +447,7 @@ func (c *Chain) Compact() error {
 		}
 		snaps := make([]*Snapshot, len(order))
 		for i, e := range order {
-			s, lerr := Load(c.b, e.id)
+			s, lerr := c.load(e.id)
 			if lerr != nil {
 				return lerr
 			}

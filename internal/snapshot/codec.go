@@ -10,7 +10,7 @@ import (
 )
 
 // Encoder builds one node's state blob. Errors are sticky: the first
-// failure poisons the encoder and Bytes reports it, so operator SaveState
+// failure poisons the encoder and Bytes reports it, so Capture.Encode
 // implementations can chain Put calls without per-call checks.
 type Encoder struct {
 	buf []byte

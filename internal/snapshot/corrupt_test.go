@@ -15,7 +15,7 @@ func TestDecodeCorruptionIsTyped(t *testing.T) {
 		"bad magic": []byte("not a snapshot at all"),
 		"empty":     {},
 		"truncated": blob[:len(blob)-3],
-		"torn head": blob[:len(magicV3)+2],
+		"torn head": blob[:len(magic)+2],
 	}
 	for i := 0; i < 8; i++ {
 		mut := append([]byte(nil), blob...)
@@ -33,32 +33,33 @@ func TestDecodeCorruptionIsTyped(t *testing.T) {
 	}
 }
 
-// Blobs written by the pre-checksum format (v2 magic, no CRC) must still
-// decode: upgrading the binary must not orphan existing chains.
-func TestDecodeV2Compat(t *testing.T) {
-	s := mkSnap(7, 6)
-	e := NewEncoder()
-	e.buf = append(e.buf, magic...)
-	e.PutInt64(s.Epoch)
-	e.PutInt64(s.Base)
-	e.PutInt(len(s.Nodes))
-	for _, n := range s.Nodes {
-		e.PutInt(n.ID)
-		e.PutString(n.Name)
-		e.PutBool(n.Delta)
-		e.PutBytes(n.State)
-		e.PutInt(len(n.Deltas))
+// Every single-bit flip anywhere in an encoded snapshot or manifest —
+// magic, checksum or payload — must be rejected as corruption: CRC-32C
+// detects every one-bit error, and no flip of the magic may route the blob
+// to a parser without the checksum.
+func TestEveryBitFlipRejected(t *testing.T) {
+	m := &DistManifest{Epoch: 9, Parts: []DistPart{
+		{Part: "coord", Epoch: 9, Chain: IDFor(9, 8)},
+		{Part: "follower", Epoch: 9, Chain: IDFor(9, 0)},
+	}}
+	blobs := map[string]struct {
+		data   []byte
+		decode func([]byte) error
+	}{
+		"snapshot": {mkSnap(3, 2).Encode(), func(b []byte) error { _, err := Decode(b); return err }},
+		"manifest": {m.Encode(), func(b []byte) error { _, err := DecodeDistManifest(b); return err }},
 	}
-	v2, err := e.Bytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := Decode(v2)
-	if err != nil {
-		t.Fatalf("v2 decode: %v", err)
-	}
-	if back.Epoch != 7 || back.Base != 6 || string(back.Nodes[0].State) != "d7" {
-		t.Fatalf("v2 round trip drifted: %+v", back)
+	for name, c := range blobs {
+		if err := c.decode(c.data); err != nil {
+			t.Fatalf("%s: pristine blob: %v", name, err)
+		}
+		for bit := 0; bit < len(c.data)*8; bit++ {
+			mut := append([]byte(nil), c.data...)
+			mut[bit/8] ^= 1 << (bit % 8)
+			if err := c.decode(mut); !errors.Is(err, ErrCorruptSnapshot) {
+				t.Fatalf("%s: flipping bit %d: err = %v, want ErrCorruptSnapshot", name, bit, err)
+			}
+		}
 	}
 }
 
@@ -108,8 +109,7 @@ func TestChainLatestIntactNothingIntact(t *testing.T) {
 	}
 }
 
-// Manifest damage must also be typed, and old-format manifests must still
-// decode.
+// Manifest damage must also be typed.
 func TestManifestCorruptionIsTyped(t *testing.T) {
 	m := &DistManifest{Epoch: 4, Parts: []DistPart{{Part: "coord", Epoch: 4, Chain: "ep0000000004-full"}}}
 	blob := m.Encode()
@@ -121,27 +121,6 @@ func TestManifestCorruptionIsTyped(t *testing.T) {
 		if _, err := DecodeDistManifest(data); !errors.Is(err, ErrCorruptSnapshot) {
 			t.Errorf("%s: err = %v, want ErrCorruptSnapshot", name, err)
 		}
-	}
-	// v1 (no checksum) still decodes.
-	e := NewEncoder()
-	e.buf = append(e.buf, distMagic...)
-	e.PutInt64(m.Epoch)
-	e.PutInt(len(m.Parts))
-	for _, p := range m.Parts {
-		e.PutString(p.Part)
-		e.PutInt64(p.Epoch)
-		e.PutString(p.Chain)
-	}
-	v1, err := e.Bytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := DecodeDistManifest(v1)
-	if err != nil {
-		t.Fatalf("v1 decode: %v", err)
-	}
-	if back.Epoch != 4 || len(back.Parts) != 1 || back.Parts[0].Part != "coord" {
-		t.Fatalf("v1 round trip drifted: %+v", back)
 	}
 }
 

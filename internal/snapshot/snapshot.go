@@ -13,11 +13,11 @@
 // cut, so restore regenerates them (exactly-once for deterministic
 // sources).
 //
-// The runtime half lives in internal/exec (Graph.Checkpoint / Restore /
-// barrier alignment in the node runner); this package holds everything
-// the runtime serializes: the per-node Stater contract, the state
-// encoder/decoder, guard-table persistence, the snapshot manifest, and
-// the storage backends.
+// The runtime half lives in internal/exec (Graph.Checkpoint, RestoreLatest
+// and RestoreChain, barrier alignment in the node runner); this package
+// holds everything the runtime serializes: the per-node Stater contract,
+// the state encoder/decoder, guard-table persistence, the snapshot
+// manifest, and the storage backends.
 package snapshot
 
 import (
@@ -48,19 +48,6 @@ func corrupted(err error) error {
 // crcTable is the Castagnoli polynomial (hardware-accelerated on amd64 and
 // arm64), shared by snapshot and manifest checksums.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-// Stater is the optional interface operators and sources implement to
-// participate in checkpoints. SaveState is called on the operator's own
-// goroutine at a consistent cut (barrier alignment for operators, between
-// Next calls for sources); LoadState is called after Open, before any
-// data, on a freshly built plan. The contract is documented in DESIGN.md
-// §6.2: capture owned mutable state (accumulators, guards, replay
-// positions), never in-flight tuples or anything derived from schema or
-// configuration.
-type Stater interface {
-	SaveState(enc *Encoder) error
-	LoadState(dec *Decoder) error
-}
 
 // NodeState is one node's contribution to a snapshot.
 type NodeState struct {
@@ -102,24 +89,18 @@ type Snapshot struct {
 // IsFull reports whether the snapshot restores on its own (no parent).
 func (s *Snapshot) IsFull() bool { return s.Base == 0 }
 
-// magic guards against feeding arbitrary files to Decode. magicV3 (the
-// written format) carries a CRC-32C of the payload so bit rot and torn
-// writes on weaker backends surface as ErrCorruptSnapshot at load time —
-// before a restore commits to the epoch — instead of as a structural decode
-// error (or worse, silently wrong state) mid-restore. magic (v2, no
-// checksum) and magicV1 (pre-chain: no Base, no per-node delta segments)
-// are still decoded.
-var (
-	magicV3 = []byte("pasnap3\n")
-	magic   = []byte("pasnap2\n")
-	magicV1 = []byte("pasnap1\n")
-)
+// magic guards against feeding arbitrary files to Decode and is followed
+// by a CRC-32C of the payload, so bit rot and torn writes on weaker
+// backends surface as ErrCorruptSnapshot at load time — before a restore
+// commits to the epoch — instead of as a structural decode error (or
+// worse, silently wrong state) mid-restore.
+var magic = []byte("pasnap3\n")
 
-// Encode serializes the snapshot: v3 magic, CRC-32C of the payload
+// Encode serializes the snapshot: magic, CRC-32C of the payload
 // (little-endian), then the payload.
 func (s *Snapshot) Encode() []byte {
 	e := NewEncoder()
-	e.buf = append(e.buf, magicV3...)
+	e.buf = append(e.buf, magic...)
 	e.buf = append(e.buf, 0, 0, 0, 0) // crc placeholder, patched below
 	e.PutInt64(s.Epoch)
 	e.PutInt64(s.Base)
@@ -135,38 +116,21 @@ func (s *Snapshot) Encode() []byte {
 		}
 	}
 	b, _ := e.Bytes() // the encoder has no failing paths
-	crc := crc32.Checksum(b[len(magicV3)+4:], crcTable)
-	binary.LittleEndian.PutUint32(b[len(magicV3):], crc)
+	crc := crc32.Checksum(b[len(magic)+4:], crcTable)
+	binary.LittleEndian.PutUint32(b[len(magic):], crc)
 	return b
 }
 
-// Decode parses a snapshot serialized by Encode (any format version).
-// Every failure wraps ErrCorruptSnapshot: the magic matched no known
-// version, the v3 checksum disagrees with the payload, or the payload is
-// structurally damaged.
+// Decode parses a snapshot serialized by Encode. Every failure wraps
+// ErrCorruptSnapshot: the magic does not match, the checksum disagrees with
+// the payload, or the payload is structurally damaged.
 func Decode(data []byte) (*Snapshot, error) {
-	v1 := false
-	switch {
-	case len(data) >= len(magicV3)+4 && string(data[:len(magicV3)]) == string(magicV3):
-		payload := data[len(magicV3)+4:]
-		want := binary.LittleEndian.Uint32(data[len(magicV3):])
-		if got := crc32.Checksum(payload, crcTable); got != want {
-			return nil, corruptf("checksum mismatch (stored %08x, computed %08x)", want, got)
-		}
-		data = payload
-	case len(data) >= len(magic) && string(data[:len(magic)]) == string(magic):
-		data = data[len(magic):]
-	case len(data) >= len(magicV1) && string(data[:len(magicV1)]) == string(magicV1):
-		v1 = true
-		data = data[len(magicV1):]
-	default:
-		return nil, corruptf("not a snapshot (bad magic)")
+	data, err := checkedPayload(data, magic, "snapshot")
+	if err != nil {
+		return nil, err
 	}
 	d := NewDecoder(data)
-	s := &Snapshot{Epoch: d.GetInt64()}
-	if !v1 {
-		s.Base = d.GetInt64()
-	}
+	s := &Snapshot{Epoch: d.GetInt64(), Base: d.GetInt64()}
 	n := d.GetInt()
 	if d.Err() != nil {
 		return nil, corrupted(d.Err())
@@ -175,16 +139,10 @@ func Decode(data []byte) (*Snapshot, error) {
 		return nil, corruptf("negative node count")
 	}
 	for i := 0; i < n; i++ {
-		ns := NodeState{ID: d.GetInt(), Name: d.GetString()}
-		if !v1 {
-			ns.Delta = d.GetBool()
-		}
-		ns.State = d.GetBytes()
-		if !v1 {
-			nd := d.GetInt()
-			for j := 0; j < nd && d.Err() == nil; j++ {
-				ns.Deltas = append(ns.Deltas, d.GetBytes())
-			}
+		ns := NodeState{ID: d.GetInt(), Name: d.GetString(), Delta: d.GetBool(), State: d.GetBytes()}
+		nd := d.GetInt()
+		for j := 0; j < nd && d.Err() == nil; j++ {
+			ns.Deltas = append(ns.Deltas, d.GetBytes())
 		}
 		if d.Err() != nil {
 			return nil, corrupted(d.Err())
@@ -197,20 +155,20 @@ func Decode(data []byte) (*Snapshot, error) {
 	return s, nil
 }
 
-// Save persists the snapshot under the given id.
-func (s *Snapshot) Save(b Backend, id string) error {
-	return b.Put(id, s.Encode())
-}
-
-// Load retrieves and parses the snapshot stored under id.
-func Load(b Backend, id string) (*Snapshot, error) {
-	data, err := b.Get(id)
-	if err != nil {
-		return nil, err
+// checkedPayload verifies a blob's magic and the CRC-32C that follows it,
+// returning the payload.
+func checkedPayload(data, magic []byte, what string) ([]byte, error) {
+	if len(data) < len(magic)+4 || string(data[:len(magic)]) != string(magic) {
+		return nil, corruptf("not a %s (bad magic)", what)
 	}
-	return Decode(data)
+	payload := data[len(magic)+4:]
+	want := binary.LittleEndian.Uint32(data[len(magic):])
+	if got := crc32.Checksum(payload, crcTable); got != want {
+		return nil, corruptf("%s checksum mismatch (stored %08x, computed %08x)", what, want, got)
+	}
+	return payload, nil
 }
 
 // Size returns the total encoded size in bytes (diagnostics). It is
-// computed by encoding, so it matches what Save writes exactly.
+// computed by encoding, so it matches what Chain.Put writes exactly.
 func (s *Snapshot) Size() int { return len(s.Encode()) }

@@ -94,13 +94,17 @@ func TestSnapshotEncodeDecode(t *testing.T) {
 func testBackend(t *testing.T, b Backend) {
 	t.Helper()
 	s := &Snapshot{Epoch: 1, Nodes: []NodeState{{ID: 0, Name: "n", State: []byte("s")}}}
-	if err := s.Save(b, "ckpt-001"); err != nil {
+	if err := b.Put("ckpt-001", s.Encode()); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Save(b, "ckpt-002"); err != nil {
+	if err := b.Put("ckpt-002", s.Encode()); err != nil {
 		t.Fatal(err)
 	}
-	back, err := Load(b, "ckpt-001")
+	data, err := b.Get("ckpt-001")
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := Decode(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +118,7 @@ func testBackend(t *testing.T, b Backend) {
 	if !reflect.DeepEqual(ids, []string{"ckpt-001", "ckpt-002"}) {
 		t.Fatalf("List = %v", ids)
 	}
-	if _, err := Load(b, "nope"); err == nil {
+	if _, err := b.Get("nope"); err == nil {
 		t.Fatal("unknown id must fail")
 	}
 }
@@ -148,7 +152,7 @@ func TestGuardsRoundTrip(t *testing.T) {
 		Pattern: punct.OnAttr(3, 1, punct.Lt(stream.TimeMicros(500))), Origin: "pace", Seq: 3})
 
 	e := NewEncoder()
-	PutGuards(e, g)
+	PutGuardsView(e, GuardsView(g))
 	blob, err := e.Bytes()
 	if err != nil {
 		t.Fatal(err)
@@ -170,7 +174,7 @@ func TestGuardsRoundTrip(t *testing.T) {
 	}
 	// Nil table encodes as empty.
 	e2 := NewEncoder()
-	PutGuards(e2, nil)
+	PutGuardsView(e2, GuardsView(nil))
 	blob2, _ := e2.Bytes()
 	if GetGuards(NewDecoder(blob2), 3).Active() != 0 {
 		t.Fatal("nil table must restore empty")

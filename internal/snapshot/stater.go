@@ -1,25 +1,26 @@
 package snapshot
 
-import (
-	"repro/internal/core"
-)
-
-// Two-phase capture (DESIGN.md §7). The one-phase Stater contract
-// serializes at the barrier, so the cut cost scales with state size. The
-// two-phase contract splits the cut:
+// Stater is the optional interface operators and sources implement to
+// participate in checkpoints (DESIGN.md §6.2, §7). The cut is two-phase:
 //
-//   - phase 1 — CaptureState — runs on the operator's goroutine at its
-//     barrier-aligned cut and only takes a consistent *view* of the state:
-//     cloned accumulator structs, copied guard lists, a drained changelog.
-//     The invariant is that the view must not alias any state the operator
-//     will mutate after the barrier releases; the cost is O(view), which
-//     for delta captures is O(changes since the previous capture).
+//   - phase 1 — CaptureState — runs on the operator's own goroutine at its
+//     consistent cut (barrier alignment for operators, between Next calls
+//     for sources) and only takes a consistent *view* of the state: cloned
+//     accumulator structs, copied guard lists, a drained changelog. The
+//     view must not alias any state the operator will mutate after the
+//     barrier releases; the cost is O(view), which for delta captures is
+//     O(changes since the previous capture).
 //   - phase 2 — Capture.Encode — runs on a background goroutine after the
 //     barrier has released (the operator is already processing post-barrier
 //     tuples) and serializes the view.
 //
-// Staters that do not implement TwoPhase keep the legacy behaviour: the
-// runtime calls SaveState synchronously at the barrier.
+// LoadState is called after Open, before any data, on a freshly built plan.
+// Capture owned mutable state (accumulators, guards, replay positions),
+// never in-flight tuples or anything derived from schema or configuration.
+type Stater interface {
+	CaptureState(mode CaptureMode) (Capture, error)
+	LoadState(dec *Decoder) error
+}
 
 // CaptureMode selects what phase 1 captures.
 type CaptureMode int
@@ -52,14 +53,6 @@ type Capture struct {
 	Encode func(*Encoder) error
 }
 
-// TwoPhase is the two-phase variant of Stater. CaptureState replaces
-// SaveState at the barrier; SaveState remains as the one-shot form
-// (conventionally implemented as CaptureState(CaptureFull) + Encode).
-type TwoPhase interface {
-	Stater
-	CaptureState(mode CaptureMode) (Capture, error)
-}
-
 // DeltaStater is implemented by operators whose captures can be deltas;
 // ApplyDelta merges one delta blob into already-loaded state during
 // restore. It is only ever called after LoadState (or a previous
@@ -68,40 +61,13 @@ type DeltaStater interface {
 	ApplyDelta(dec *Decoder) error
 }
 
-// EncodeCapture runs both phases back to back: the conventional SaveState
-// implementation for a TwoPhase operator.
-func EncodeCapture(st TwoPhase, enc *Encoder) error {
+// EncodeCapture runs both phases of a full capture back to back. A capture
+// without an Encode (a Stater with nothing to save) writes nothing, as at a
+// checkpoint.
+func EncodeCapture(st Stater, enc *Encoder) error {
 	c, err := st.CaptureState(CaptureFull)
-	if err != nil {
+	if err != nil || c.Encode == nil {
 		return err
 	}
 	return c.Encode(enc)
-}
-
-// GuardsView snapshots a guard table's installed feedback list into an
-// immutable slice for a phase-1 capture (the table itself keeps mutating
-// after the barrier releases; Feedback values are immutable). A nil table
-// yields nil.
-func GuardsView(g *core.GuardTable) []core.Feedback {
-	if g == nil {
-		return nil
-	}
-	guards := g.Guards()
-	if len(guards) == 0 {
-		return nil
-	}
-	fs := make([]core.Feedback, len(guards))
-	for i, gd := range guards {
-		fs[i] = gd.Source
-	}
-	return fs
-}
-
-// PutGuardsView appends a captured guard list in the same wire form as
-// PutGuards, so GetGuards decodes either.
-func PutGuardsView(e *Encoder, fs []core.Feedback) {
-	e.PutInt(len(fs))
-	for _, f := range fs {
-		e.PutFeedback(f)
-	}
 }
